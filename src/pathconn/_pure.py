@@ -72,9 +72,13 @@ def enumerate_trees(n, adj, edges, smask, cap, budget):
     """Enumerate terminal trees ordered by (extra vertex set, edge list).
 
     Extra vertex sets are scanned by increasing size, lexicographic within a
-    size.  For each set X the spanning trees of the subgraph induced on
-    terminals + X whose leaves are all terminals are listed by include-first
-    search over the canonical edge list.  Shared by both backends.
+    size.  A set X is skipped when some x in X has fewer than two neighbours
+    in terminals + X, since x must be internal, or when the subgraph induced
+    on terminals + X has too few edges to span it.  Otherwise the spanning
+    trees of that subgraph whose leaves are all terminals are listed by
+    include-first search over the canonical edge list (see _span_trees).
+    Work units: one per extra vertex set, plus one per tree search node.
+    Shared by both backends.
     """
     units = 0
     out = []
@@ -104,11 +108,56 @@ def enumerate_trees(n, adj, edges, smask, cap, budget):
 def _span_trees(sub, nu, umask, xset, out, cap, budget, units):
     """Append spanning trees of the induced subgraph whose leaves are terminals.
 
-    Returns (done, units); done is False when the cap or budget was hit.
+    Include-first search over sub, on local vertex positions 0..nu-1: a
+    node at index idx has decided the edges before idx, and emits the picked
+    edges once there are nu - 1 of them.  A child is skipped when it fails
+    a condition that every tree below it meets, so the search lists exactly
+    the trees, in exactly the order, of the unpruned search.  The prunes,
+    and why each condition holds for every tree below the child:
+
+    * include (a, b) only when a and b lie in different picked components,
+      and when the degree shortfall of the extra vertices can still be met:
+      each x in xset needs degree 2, and the r edges still to pick can
+      lower the total shortfall by at most 2r;
+    * exclude (a, b) only when the edges after idx still number at least
+      the r edges still to pick;
+    * exclude (a, b) only when each extra endpoint can still reach degree
+      2 with its picked edges plus its undecided edges after idx;
+    * exclude (a, b) only when a still reaches b over the picked and the
+      undecided edges.  Every tree below the node lies inside that graph,
+      so it must stay connected.  Excluding is the only step that shrinks
+      it, so this is the only place to test it, and the test is skipped
+      when picked edges already join a and b.
+
+    One work unit per node entered.  The earlier search (kept in
+    tests/oracle.py), which tested the edge count and rebuilt connectivity
+    at every node, enters every node this one enters, in the same order, so
+    at the same budget this search never yields fewer trees.  Returns (done, units); done is False when
+    the cap or budget was hit.
     """
     verts = [v for v in range(umask.bit_length()) if (umask >> v) & 1]
     pos = {v: i for i, v in enumerate(verts)}
+    ends = [(pos[u], pos[v]) for u, v in sub]
+    m = len(sub)
+    # avail[i]: positions joined to i by a picked or an undecided edge
+    avail = [0] * nu
+    for a, b in ends:
+        avail[a] |= 1 << b
+        avail[b] |= 1 << a
+    if not _reach(avail, 1, (1 << nu) - 1):
+        return True, units
+    # need[i]: degree position i must reach (2 for an extra vertex, else 0);
+    # slack[i]: how many more edges at i the search may exclude
+    need = [0] * nu
+    slack = [m] * nu
+    for x in xset:
+        i = pos[x]
+        need[i] = 2
+        slack[i] = avail[i].bit_count() - 2
+    deg = [0] * nu
     parent = list(range(nu))
+    picked = []
+    short = 2 * len(xset)  # sum over extra vertices of max(0, 2 - degree)
 
     # no path compression: the include branch must roll back a union with a
     # single assignment, which compression side effects would corrupt
@@ -117,66 +166,72 @@ def _span_trees(sub, nu, umask, xset, out, cap, budget, units):
             a = parent[a]
         return a
 
-    picked = []
-    deg = {v: 0 for v in verts}
-
-    def spans(idx):
-        # can the picked edges plus the undecided suffix still connect all?
-        p2 = [find(i) for i in range(nu)]
-
-        def f2(a):
-            while p2[a] != a:
-                a = p2[a]
-            return a
-
-        comps = len({f2(i) for i in range(nu)})
-        if comps == 1:
-            return True
-        for u, v in sub[idx:]:
-            ru, rv = f2(pos[u]), f2(pos[v])
-            if ru != rv:
-                p2[ru] = rv
-                comps -= 1
-                if comps == 1:
-                    return True
-        return False
-
     def rec(idx):
         # returns 0 = done, 1 = budget hit, 2 = cap hit
-        nonlocal units
+        nonlocal units, short
         units += 1
         if units >= budget:
             return 1
-        if len(picked) == nu - 1:
-            if all(deg[x] >= 2 for x in xset):
-                out.append(tuple(picked))
-                if len(out) >= cap:
-                    return 2
+        left = nu - 1 - len(picked)
+        if left == 0:
+            # short == 0 here, or the include prune would have cut this node
+            out.append(tuple(picked))
+            return 2 if len(out) >= cap else 0
+        a, b = ends[idx]
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            gain = (deg[a] < need[a]) + (deg[b] < need[b])
+            if short - gain <= 2 * (left - 1):
+                short -= gain
+                deg[a] += 1
+                deg[b] += 1
+                parent[ra] = rb
+                picked.append(sub[idx])
+                st = rec(idx + 1)
+                picked.pop()
+                parent[ra] = ra
+                deg[a] -= 1
+                deg[b] -= 1
+                short += gain
+                if st:
+                    return st
+        if left > m - idx - 1 or slack[a] == 0 or slack[b] == 0:
             return 0
-        if idx == len(sub):
-            return 0
-        if nu - 1 - len(picked) > len(sub) - idx:
-            return 0
-        if not spans(idx):
-            return 0
-        u, v = sub[idx]
-        ru, rv = find(pos[u]), find(pos[v])
-        if ru != rv:
-            parent[ru] = rv
-            picked.append(sub[idx])
-            deg[u] += 1
-            deg[v] += 1
+        bit_a, bit_b = 1 << a, 1 << b
+        avail[a] ^= bit_b
+        avail[b] ^= bit_a
+        st = 0
+        if ra == rb or _reach(avail, bit_a, bit_b):
+            slack[a] -= 1
+            slack[b] -= 1
             st = rec(idx + 1)
-            deg[u] -= 1
-            deg[v] -= 1
-            picked.pop()
-            parent[ru] = ru
-            if st:
-                return st
-        return rec(idx + 1)
+            slack[a] += 1
+            slack[b] += 1
+        avail[a] ^= bit_b
+        avail[b] ^= bit_a
+        return st
 
     st = rec(0)
     return st == 0, units
+
+
+def _reach(adj, seen, goal):
+    """True when the vertex set seen reaches every vertex of goal along adj.
+
+    adj holds neighbour bitmasks; seen and goal are vertex bitmasks.
+    """
+    frontier = seen
+    while seen & goal != goal:
+        if not frontier:
+            return False
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~seen
+        seen |= grown
+    return True
 
 
 def solve_pack(n, m, eid, cands, is_tree, smask, internal, slots_per, zcap,

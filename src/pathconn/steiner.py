@@ -293,17 +293,18 @@ def enumerate_minimal_strees(g: Graph, s, cap: int = DEFAULT_CAP,
 
 
 def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget, cap: int,
-                 known_ub: int | None = None) -> PackingCertificate:
-    """Exact-intent local solve; degrades to lower-bound on budget expiry."""
+                 ub: int) -> PackingCertificate:
+    """Exact-intent local solve; degrades to lower-bound on budget expiry.
+
+    ub is a proven upper bound on the local value at s: at most
+    local_upper_bound(g, s, variant), lower when the caller knows more.
+    """
     if pool.exhausted:
         return PackingCertificate(variant, s, (), LOWER_BOUND)
     cands, enum_complete, units = _enumerate(g, _smask(s), variant, cap, pool.left)
     pool.charge(units)
     if not cands:
         return PackingCertificate(variant, s, (), ZERO if enum_complete else LOWER_BOUND)
-    ub = local_upper_bound(g, s, variant)
-    if known_ub is not None:
-        ub = min(ub, known_ub)
     best, sel, pack_complete, units = _pack(
         g, eid, cands, s, variant, target=ub, prune_below_target=False,
         budget=max(pool.left, 0))
@@ -322,7 +323,8 @@ def local_connectivity(g: Graph, s, variant: str, budget_ms: int | None = None,
     if len(s) < 2:
         raise InputError("need at least two terminals")
     pool = WorkBudget(budget_ms)
-    return _local_solve(g, _eid_flat(g), s, variant, pool, cap)
+    return _local_solve(g, _eid_flat(g), s, variant, pool, cap,
+                        local_upper_bound(g, s, variant))
 
 
 def pack_at_least(g: Graph, s, t: int, variant: str,
@@ -361,13 +363,12 @@ def pack_at_least(g: Graph, s, t: int, variant: str,
 def _try_reach(g, eid, s, variant, goal, pool, cap):
     """Cheap two-phase attempt to certify local value >= goal.
 
+    The caller has checked local_upper_bound(g, s, variant) >= goal.
     Returns (hit, decisive_no, best_found).  decisive_no means the search
     proved the local value < goal.
     """
     if goal == 0:
         return True, False, 0
-    if local_upper_bound(g, s, variant) < goal:
-        return False, True, 0
     smask = _smask(s)
     best_seen = 0
     for phase_cap in (256, cap):
@@ -426,8 +427,9 @@ def global_connectivity(g: Graph, k: int, variant: str,
         return GlobalResult(variant, k, 0, EXACT, s, cert, 0)
 
     eid = _eid_flat(g)
-    subsets = [tuple(c) for c in combinations(range(n), k)]
-    subsets.sort(key=lambda s: (local_upper_bound(g, s, variant), s))
+    # each terminal set's bound, computed once; scan by (bound, set)
+    subsets = sorted((local_upper_bound(g, s, variant), s)
+                     for s in combinations(range(n), k))
 
     best_val: int | None = None
     best_s: tuple[int, ...] | None = None
@@ -436,14 +438,13 @@ def global_connectivity(g: Graph, k: int, variant: str,
     pool = WorkBudget(budget_ms)
     scanned_all = True
 
-    for s in subsets:
+    for ub, s in subsets:
         if pool.exhausted:
-            for rest_s in subsets[len(lbs):]:
+            for _, rest_s in subsets[len(lbs):]:
                 lbs[rest_s] = 0
             scanned_all = False
             break
-        known_ub = None
-        if best_val is not None and local_upper_bound(g, s, variant) >= best_val:
+        if best_val is not None and ub >= best_val:
             hit, decisive_no, found = _try_reach(g, eid, s, variant, best_val, pool, cap)
             if hit:
                 lbs[s] = best_val
@@ -451,8 +452,8 @@ def global_connectivity(g: Graph, k: int, variant: str,
             if not decisive_no:
                 lbs[s] = found
                 continue
-            known_ub = best_val - 1
-        cert = _local_solve(g, eid, s, variant, pool, cap, known_ub=known_ub)
+            ub = best_val - 1
+        cert = _local_solve(g, eid, s, variant, pool, cap, ub)
         lbs[s] = cert.value
         if cert.status in (EXACT, ZERO) and (best_val is None or cert.value < best_val):
             best_val, best_s, best_cert = cert.value, s, cert
@@ -490,6 +491,8 @@ def global_at_least(g: Graph, k: int, t: int, variant: str,
     for s in combinations(range(g.n), k):
         if pool.exhausted:
             return "unknown"
+        if local_upper_bound(g, s, variant) < t:
+            return "no"
         hit, decisive_no, _ = _try_reach(g, eid, s, variant, t, pool, cap)
         if hit:
             continue

@@ -5,6 +5,10 @@ package kernels: terminal paths by plain DFS between terminal pairs,
 terminal trees by scanning all edge subsets, packing by exhaustive
 include/skip search, and cut-based connectivity by removing every subset.
 Slow on purpose; only run at small scale.
+
+The one exception is at the end: the package's original tree enumerator,
+copied unchanged.  The pruned enumerator must list the same trees in the
+same order, so this copy is the reference for order, caps and budgets.
 """
 
 from __future__ import annotations
@@ -170,3 +174,117 @@ def naive_edge_connectivity(g: Graph) -> int:
             if not _connected(sub, set(range(g.n))):
                 return r
     return g.m
+
+
+# ---------------------------------------------------------------------------
+# the original tree enumerator, kept unchanged as the order reference
+
+def enumerate_trees(n, adj, edges, smask, cap, budget):
+    """Enumerate terminal trees ordered by (extra vertex set, edge list).
+
+    Extra vertex sets are scanned by increasing size, lexicographic within a
+    size.  For each set X the spanning trees of the subgraph induced on
+    terminals + X whose leaves are all terminals are listed by include-first
+    search over the canonical edge list.  Shared by both backends.
+    """
+    units = 0
+    out = []
+    others = [v for v in range(n) if not (smask >> v) & 1]
+    k = n - len(others)
+    for xsize in range(len(others) + 1):
+        for xset in combinations(others, xsize):
+            units += 1
+            if units >= budget:
+                return out, False, units
+            umask = smask
+            for x in xset:
+                umask |= 1 << x
+            # every extra vertex must be internal, so it needs degree >= 2
+            if any((adj[x] & umask).bit_count() < 2 for x in xset):
+                continue
+            sub = [e for e in edges if (umask >> e[0]) & 1 and (umask >> e[1]) & 1]
+            nu = k + xsize
+            if len(sub) < nu - 1:
+                continue
+            done, units = _span_trees(sub, nu, umask, xset, out, cap, budget, units)
+            if not done:
+                return out, False, units
+    return out, True, units
+
+
+def _span_trees(sub, nu, umask, xset, out, cap, budget, units):
+    """Append spanning trees of the induced subgraph whose leaves are terminals.
+
+    Returns (done, units); done is False when the cap or budget was hit.
+    """
+    verts = [v for v in range(umask.bit_length()) if (umask >> v) & 1]
+    pos = {v: i for i, v in enumerate(verts)}
+    parent = list(range(nu))
+
+    # no path compression: the include branch must roll back a union with a
+    # single assignment, which compression side effects would corrupt
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    picked = []
+    deg = {v: 0 for v in verts}
+
+    def spans(idx):
+        # can the picked edges plus the undecided suffix still connect all?
+        p2 = [find(i) for i in range(nu)]
+
+        def f2(a):
+            while p2[a] != a:
+                a = p2[a]
+            return a
+
+        comps = len({f2(i) for i in range(nu)})
+        if comps == 1:
+            return True
+        for u, v in sub[idx:]:
+            ru, rv = f2(pos[u]), f2(pos[v])
+            if ru != rv:
+                p2[ru] = rv
+                comps -= 1
+                if comps == 1:
+                    return True
+        return False
+
+    def rec(idx):
+        # returns 0 = done, 1 = budget hit, 2 = cap hit
+        nonlocal units
+        units += 1
+        if units >= budget:
+            return 1
+        if len(picked) == nu - 1:
+            if all(deg[x] >= 2 for x in xset):
+                out.append(tuple(picked))
+                if len(out) >= cap:
+                    return 2
+            return 0
+        if idx == len(sub):
+            return 0
+        if nu - 1 - len(picked) > len(sub) - idx:
+            return 0
+        if not spans(idx):
+            return 0
+        u, v = sub[idx]
+        ru, rv = find(pos[u]), find(pos[v])
+        if ru != rv:
+            parent[ru] = rv
+            picked.append(sub[idx])
+            deg[u] += 1
+            deg[v] += 1
+            st = rec(idx + 1)
+            deg[u] -= 1
+            deg[v] -= 1
+            picked.pop()
+            parent[ru] = ru
+            if st:
+                return st
+        return rec(idx + 1)
+
+    st = rec(0)
+    return st == 0, units

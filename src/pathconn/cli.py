@@ -199,6 +199,12 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if (args.suite in ("inequalities", "all")
+            and args.max_n is not None and args.max_n < 4):
+        raise InputError("--max-n must be >= 4 for the inequalities suite, "
+                         "whose random graphs have at least 4 vertices")
+    # an absent --budget-ms keeps the suite's own default
+    budget = {} if args.budget_ms is None else {"budget_ms": args.budget_ms}
     if args.suite == "all":
         reports = run_all(seed=args.seed, count=args.count, max_n=args.max_n,
                           budget_ms=args.budget_ms)
@@ -210,11 +216,9 @@ def _cmd_verify(args) -> int:
     elif args.suite == "line":
         count = args.count or 50
         reports = [suite_linegraph(seed=args.seed, count=count,
-                                   count_deep=max(1, (args.count or 50) * 2 // 5),
-                                   budget_ms=args.budget_ms or 20_000)]
+                                   count_deep=max(1, count * 2 // 5), **budget)]
     elif args.suite == "construction":
-        reports = [suite_construction(seed=args.seed,
-                                      budget_ms=args.budget_ms or 10_000)]
+        reports = [suite_construction(seed=args.seed, **budget)]
     else:
         raise InputError(f"unknown suite {args.suite!r}")
     text = serialize_reports(reports) if args.json else render_reports(reports)

@@ -55,15 +55,13 @@ def complete_graph_value(n: int, k: int) -> int:
 class WorkBudget:
     """Deterministic work-unit pool shared across solver calls."""
 
-    def __init__(self, budget_ms: int | None = None, units: int | None = None):
-        if units is not None:
-            self.left = units
-        elif budget_ms is not None:
-            if budget_ms < 0:
-                raise InputError("budget must be >= 0")
-            self.left = budget_ms * UNITS_PER_MS
-        else:
+    def __init__(self, budget_ms: int | None = None):
+        if budget_ms is None:
             self.left = _INF_UNITS
+        elif budget_ms < 0:
+            raise InputError("budget must be >= 0")
+        else:
+            self.left = budget_ms * UNITS_PER_MS
         self.spent = 0
 
     def charge(self, units: int) -> None:
@@ -164,6 +162,15 @@ def _check_solver_size(g: Graph) -> None:
         raise InputError("graph has no vertices")
 
 
+def _local_terminals(g: Graph, s) -> tuple[int, ...]:
+    """Check the graph and return the canonical terminal set of a local call."""
+    _check_solver_size(g)
+    s = terminal_set(g, s)
+    if len(s) < 2:
+        raise InputError("need at least two terminals")
+    return s
+
+
 def _smask(s: tuple[int, ...]) -> int:
     m = 0
     for v in s:
@@ -179,16 +186,33 @@ def _eid_flat(g: Graph) -> list[int]:
     return eid
 
 
+def _slots_per(k: int, variant: str) -> int:
+    """Terminal degree slots one member consumes: k for a tree, 2k - 2 for a
+    path (two endpoints and k - 2 interior terminals)."""
+    return k if _TREE[variant] else 2 * k - 2
+
+
+def _capacity_bound(g: Graph, k: int, variant: str, degree_sum: int) -> int:
+    """The slot, edge and vertex terms of both upper bounds.
+
+    degree_sum terminal degree slots divided by the slots one member
+    consumes; total edges divided by the k - 1 edges one member needs; and
+    for internal variants the non-terminal vertex budget plus the
+    floor(k/2) members that fit inside the terminals.
+    """
+    bound = min(degree_sum // _slots_per(k, variant), g.m // (k - 1))
+    if _INTERNAL[variant]:
+        bound = min(bound, k // 2 + (g.n - k))
+    return bound
+
+
 def local_upper_bound(g: Graph, s: tuple[int, ...], variant: str) -> int:
     """Combinatorial upper bound on the local value at terminal set s.
 
     Components: the smallest terminal degree; one less when two equal-degree
     terminals are adjacent (for k >= 3 the member through that edge, or its
-    absence, always wastes one endpoint slot); total terminal degree divided
-    by the slots one member consumes (2k-2 for paths with two endpoints and
-    k-2 interior terminals, k for trees); total edges divided by the k-1
-    edges one member needs; and for internal variants the non-terminal
-    vertex budget plus the floor(k/2) members that fit inside the terminals.
+    absence, always wastes one endpoint slot); and the slot, edge and vertex
+    terms of _capacity_bound over the total terminal degree.
     """
     k = len(s)
     degs = [g.degree(v) for v in s]
@@ -197,18 +221,14 @@ def local_upper_bound(g: Graph, s: tuple[int, ...], variant: str) -> int:
         for u, v in combinations(s, 2):
             if g.has_edge(u, v) and g.degree(u) == g.degree(v):
                 bound = min(bound, g.degree(u) - 1)
-    slots_per = k if _TREE[variant] else 2 * k - 2
-    bound = min(bound, sum(degs) // slots_per)
-    bound = min(bound, g.m // (k - 1))
-    if _INTERNAL[variant]:
-        bound = min(bound, k // 2 + (g.n - k))
-    return max(bound, 0)
+    return max(min(bound, _capacity_bound(g, k, variant, sum(degs))), 0)
 
 
 def upper_bound(g: Graph, k: int, variant: str) -> int:
     """Global sanity upper bound on the k-value.
 
-    Combines the combinatorial local bound at a worst-case style subset with
+    The convention value where one applies (see _convention).  Otherwise
+    combines the combinatorial local bound at a worst-case style subset with
     the closed-form complete-graph value (internal paths embed into the
     complete graph on the same vertices), the vertex connectivity when a
     subset avoiding a minimum cut exists, and the edge connectivity for
@@ -219,13 +239,10 @@ def upper_bound(g: Graph, k: int, variant: str) -> int:
         raise InputError("k must be >= 1")
     if g.n == 0:
         raise InputError("graph has no vertices")
-    from .invariants import connectivity, edge_connectivity, min_degree
-    if not g.is_connected():
-        return 0
-    if k > g.n:
-        return 1
-    if k == 1:
-        return min_degree(g)
+    from .invariants import connectivity, edge_connectivity
+    conv = _convention(g, k, variant)
+    if conv is not None:
+        return conv.value
     degs = sorted(g.degrees())
     bound = degs[0]
     if k >= 3:
@@ -233,11 +250,7 @@ def upper_bound(g: Graph, k: int, variant: str) -> int:
             if g.degree(u) == g.degree(v):
                 bound = min(bound, g.degree(u) - 1)
                 break
-    slots_per = k if _TREE[variant] else 2 * k - 2
-    bound = min(bound, sum(degs[:k]) // slots_per)
-    bound = min(bound, g.m // (k - 1))
-    if _INTERNAL[variant]:
-        bound = min(bound, k // 2 + (g.n - k))
+    bound = min(bound, _capacity_bound(g, k, variant, sum(degs[:k])))
     if variant == PI:
         bound = min(bound, complete_graph_value(g.n, k))
     if _INTERNAL[variant]:
@@ -249,19 +262,10 @@ def upper_bound(g: Graph, k: int, variant: str) -> int:
     return max(bound, 0)
 
 
-def _enumerate(g: Graph, smask: int, variant: str, cap: int, budget: int):
-    if _TREE[variant]:
+def _enumerate(g: Graph, smask: int, tree: bool, cap: int, budget: int):
+    if tree:
         return _enumerate_trees(g.n, g.masks, g.edges, smask, cap, budget)
     return impl.enumerate_paths(g.n, g.masks, smask, cap, budget)
-
-
-def _pack(g: Graph, eid, cands, s, variant, target, prune_below_target, budget):
-    k = len(s)
-    slots_per = k if _TREE[variant] else 2 * k - 2
-    return impl.solve_pack(
-        g.n, g.m, eid, cands, _TREE[variant], _smask(s), _INTERNAL[variant],
-        slots_per, k // 2, [g.degree(v) for v in s],
-        target, prune_below_target, budget)
 
 
 def enumerate_minimal_spaths(g: Graph, s, cap: int = DEFAULT_CAP,
@@ -271,25 +275,43 @@ def enumerate_minimal_spaths(g: Graph, s, cap: int = DEFAULT_CAP,
     Returns (paths, truncated); truncated means the cap or budget stopped
     enumeration before it was exhaustive.
     """
-    _check_solver_size(g)
-    s = terminal_set(g, s)
-    if len(s) < 2:
-        raise InputError("need at least two terminals")
-    pool = WorkBudget(budget_ms)
-    paths, complete, units = impl.enumerate_paths(g.n, g.masks, _smask(s), cap, pool.left)
+    s = _local_terminals(g, s)
+    paths, complete, _ = _enumerate(g, _smask(s), False, cap, WorkBudget(budget_ms).left)
     return tuple(paths), not complete
 
 
 def enumerate_minimal_strees(g: Graph, s, cap: int = DEFAULT_CAP,
                              budget_ms: int | None = None):
     """All minimal terminal trees for s (edge tuples), canonical order."""
-    _check_solver_size(g)
-    s = terminal_set(g, s)
-    if len(s) < 2:
-        raise InputError("need at least two terminals")
-    pool = WorkBudget(budget_ms)
-    trees, complete, units = _enumerate_trees(g.n, g.masks, g.edges, _smask(s), cap, pool.left)
+    s = _local_terminals(g, s)
+    trees, complete, _ = _enumerate(g, _smask(s), True, cap, WorkBudget(budget_ms).left)
     return tuple(trees), not complete
+
+
+def _enumerate_and_pack(g: Graph, eid, s, variant, pool: WorkBudget, cap: int,
+                        target: int, decide: bool):
+    """Enumerate the candidates for s, then pack them toward target.
+
+    Both stages are charged to pool; the pack gets what enumeration left.
+    decide selects decision mode, which prunes every branch that cannot
+    reach target.  Returns (family, enum_complete, proven): proven means
+    that enumeration and pack both ran to the end without reaching target
+    first, so family is a largest family (exact mode) or no family reaches
+    target (decision mode).
+    """
+    smask = _smask(s)
+    tree = _TREE[variant]
+    cands, enum_complete, units = _enumerate(g, smask, tree, cap, pool.left)
+    pool.charge(units)
+    if not cands:
+        return (), enum_complete, enum_complete
+    k = len(s)
+    _, sel, pack_complete, units = impl.solve_pack(
+        g.n, g.m, eid, cands, tree, smask, _INTERNAL[variant],
+        _slots_per(k, variant), k // 2, [g.degree(v) for v in s],
+        target, decide, max(pool.left, 0))
+    pool.charge(units)
+    return tuple(cands[i] for i in sel), enum_complete, pack_complete and enum_complete
 
 
 def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget, cap: int,
@@ -301,27 +323,19 @@ def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget, cap: int,
     """
     if pool.exhausted:
         return PackingCertificate(variant, s, (), LOWER_BOUND)
-    cands, enum_complete, units = _enumerate(g, _smask(s), variant, cap, pool.left)
-    pool.charge(units)
-    if not cands:
-        return PackingCertificate(variant, s, (), ZERO if enum_complete else LOWER_BOUND)
-    best, sel, pack_complete, units = _pack(
-        g, eid, cands, s, variant, target=ub, prune_below_target=False,
-        budget=max(pool.left, 0))
-    pool.charge(units)
-    exact = best >= ub or (pack_complete and enum_complete)
-    family = tuple(cands[i] for i in sel)
-    return PackingCertificate(variant, s, family, EXACT if exact else LOWER_BOUND)
+    family, _, proven = _enumerate_and_pack(g, eid, s, variant, pool, cap, ub, False)
+    if not family:
+        status = ZERO if proven else LOWER_BOUND
+    else:
+        status = EXACT if proven or len(family) >= ub else LOWER_BOUND
+    return PackingCertificate(variant, s, family, status)
 
 
 def local_connectivity(g: Graph, s, variant: str, budget_ms: int | None = None,
                        cap: int = DEFAULT_CAP) -> PackingCertificate:
     """Largest disjoint family of minimal terminal paths/trees for s."""
     _check_variant(variant)
-    _check_solver_size(g)
-    s = terminal_set(g, s)
-    if len(s) < 2:
-        raise InputError("need at least two terminals")
+    s = _local_terminals(g, s)
     pool = WorkBudget(budget_ms)
     return _local_solve(g, _eid_flat(g), s, variant, pool, cap,
                         local_upper_bound(g, s, variant))
@@ -331,33 +345,16 @@ def pack_at_least(g: Graph, s, t: int, variant: str,
                   budget_ms: int | None = None, cap: int = DEFAULT_CAP) -> PackDecision:
     """Decide whether a disjoint family of size >= t exists for s."""
     _check_variant(variant)
-    _check_solver_size(g)
-    s = terminal_set(g, s)
-    if len(s) < 2:
-        raise InputError("need at least two terminals")
+    s = _local_terminals(g, s)
     if t < 1:
         raise InputError("t must be >= 1")
     if local_upper_bound(g, s, variant) < t:
         return PackDecision("no", None, 0)
     pool = WorkBudget(budget_ms)
-    eid = _eid_flat(g)
-    cands, enum_complete, units = _enumerate(g, _smask(s), variant, cap, pool.left)
-    pool.charge(units)
-    if not cands:
-        if enum_complete:
-            return PackDecision("no", None, pool.spent)
-        return PackDecision("unknown", None, pool.spent)
-    best, sel, pack_complete, units = _pack(
-        g, eid, cands, s, variant, target=t, prune_below_target=True,
-        budget=max(pool.left, 0))
-    pool.charge(units)
-    family = tuple(cands[i] for i in sel)
+    family, _, proven = _enumerate_and_pack(g, _eid_flat(g), s, variant, pool, cap, t, True)
     cert = PackingCertificate(variant, s, family, LOWER_BOUND) if family else None
-    if best >= t:
-        return PackDecision("yes", cert, pool.spent)
-    if pack_complete and enum_complete:
-        return PackDecision("no", cert, pool.spent)
-    return PackDecision("unknown", cert, pool.spent)
+    answer = "yes" if len(family) >= t else "no" if proven else "unknown"
+    return PackDecision(answer, cert, pool.spent)
 
 
 def _try_reach(g, eid, s, variant, goal, pool, cap):
@@ -369,100 +366,92 @@ def _try_reach(g, eid, s, variant, goal, pool, cap):
     """
     if goal == 0:
         return True, False, 0
-    smask = _smask(s)
     best_seen = 0
     for phase_cap in (256, cap):
         if pool.exhausted:
-            return False, False, best_seen
-        cands, enum_complete, units = _enumerate(g, smask, variant, phase_cap, pool.left)
-        pool.charge(units)
-        if not cands:
-            if enum_complete:
-                return False, True, 0
-            return False, False, best_seen
-        best, sel, pack_complete, units = _pack(
-            g, eid, cands, s, variant, target=goal, prune_below_target=True,
-            budget=max(pool.left, 0))
-        pool.charge(units)
-        best_seen = max(best_seen, best)
-        if best >= goal:
-            return True, False, best
-        if pack_complete and enum_complete:
+            break
+        family, enum_complete, proven = _enumerate_and_pack(
+            g, eid, s, variant, pool, phase_cap, goal, True)
+        best_seen = max(best_seen, len(family))
+        if len(family) >= goal:
+            return True, False, len(family)
+        if proven:
             return False, True, best_seen
         if enum_complete or phase_cap == cap:
-            # enumeration was already exhaustive (or fully capped); the pack
-            # budget must have expired, so a larger phase cannot help
-            return False, False, best_seen
+            # every candidate was enumerated, or the caller's cap was
+            # reached, so a second phase would only repeat this one
+            break
     return False, False, best_seen
+
+
+def _convention(g: Graph, k: int, variant: str) -> GlobalResult | None:
+    """The global result fixed by convention, or None when no convention applies.
+
+    k = 1 gives the minimum degree (0 on a single vertex) at a vertex of
+    that degree.  k > n gives 1 on a connected graph and 0 otherwise, with
+    no terminal set.  A disconnected graph with 2 <= k <= n gives 0 at a
+    k-set meeting two components, certified by the empty family with status
+    zero; the other conventions carry no certificate.
+    """
+    n = g.n
+    if k == 1:
+        degs = g.degrees()
+        v = min(range(n), key=lambda i: degs[i])
+        return GlobalResult(variant, k, degs[v] if n > 1 else 0, EXACT, (v,), None, 0)
+    connected = g.is_connected()
+    if k > n:
+        return GlobalResult(variant, k, 1 if connected else 0, EXACT, None, None, 0)
+    if connected:
+        return None
+    comps = components(g)
+    picked = [comps[0][0], comps[1][0]]
+    rest = sorted(set(range(n)) - set(picked))
+    s = tuple(sorted(picked + rest[:k - 2]))
+    return GlobalResult(variant, k, 0, EXACT, s, PackingCertificate(variant, s, (), ZERO), 0)
 
 
 def global_connectivity(g: Graph, k: int, variant: str,
                         budget_ms: int | None = None,
                         cap: int = DEFAULT_CAP) -> GlobalResult:
-    """Minimum local value over all k-subsets, with conventions.
-
-    k = 1: minimum degree.  Disconnected graph: 0 with a witness subset
-    spanning two components (when k <= n).  Connected graph with n < k: 1.
-    Convention results carry no certificate.
-    """
+    """Minimum local value over all k-subsets, with the conventions of
+    _convention for k = 1, k > n and disconnected graphs."""
     _check_variant(variant)
     if k < 1:
         raise InputError("k must be >= 1")
     _check_solver_size(g)
-    n = g.n
-    if k == 1:
-        degs = g.degrees()
-        v = min(range(n), key=lambda i: degs[i])
-        val = degs[v] if n > 1 else 0
-        return GlobalResult(variant, k, val, EXACT, (v,), None, 0)
-    connected = g.is_connected()
-    if k > n:
-        return GlobalResult(variant, k, 1 if connected else 0, EXACT, None, None, 0)
-    if not connected:
-        comps = components(g)
-        picked = [comps[0][0], comps[1][0]]
-        rest = sorted(set(range(n)) - set(picked))
-        s = tuple(sorted(picked + rest[:k - 2]))
-        cert = PackingCertificate(variant, s, (), ZERO)
-        return GlobalResult(variant, k, 0, EXACT, s, cert, 0)
+    conv = _convention(g, k, variant)
+    if conv is not None:
+        return conv
 
     eid = _eid_flat(g)
     # each terminal set's bound, computed once; scan by (bound, set)
     subsets = sorted((local_upper_bound(g, s, variant), s)
-                     for s in combinations(range(n), k))
+                     for s in combinations(range(g.n), k))
 
     best_val: int | None = None
     best_s: tuple[int, ...] | None = None
     best_cert: PackingCertificate | None = None
-    lbs: dict[tuple[int, ...], int] = {}
+    low: int | None = None  # smallest lower bound over the sets scanned
     pool = WorkBudget(budget_ms)
-    scanned_all = True
 
     for ub, s in subsets:
         if pool.exhausted:
-            for _, rest_s in subsets[len(lbs):]:
-                lbs[rest_s] = 0
-            scanned_all = False
-            break
+            # the sets not scanned have lower bound 0
+            return GlobalResult(variant, k, 0, LOWER_BOUND, best_s, best_cert, pool.spent)
         if best_val is not None and ub >= best_val:
             hit, decisive_no, found = _try_reach(g, eid, s, variant, best_val, pool, cap)
-            if hit:
-                lbs[s] = best_val
-                continue
             if not decisive_no:
-                lbs[s] = found
+                low = min(low, best_val if hit else found)
                 continue
             ub = best_val - 1
         cert = _local_solve(g, eid, s, variant, pool, cap, ub)
-        lbs[s] = cert.value
+        low = cert.value if low is None else min(low, cert.value)
         if cert.status in (EXACT, ZERO) and (best_val is None or cert.value < best_val):
             best_val, best_s, best_cert = cert.value, s, cert
 
-    if (scanned_all and best_val is not None
-            and all(v >= best_val for v in lbs.values())):
-        return GlobalResult(variant, k, best_val, EXACT, best_s, best_cert, pool.spent)
-    value = min(lbs.values()) if lbs else 0
-    return GlobalResult(variant, k, value, LOWER_BOUND, best_s, best_cert, pool.spent)
+    # best_val is one of the lower bounds, so it is the value iff it is the least
+    status = EXACT if low == best_val else LOWER_BOUND
+    return GlobalResult(variant, k, low, status, best_s, best_cert, pool.spent)
 
 
 def global_at_least(g: Graph, k: int, t: int, variant: str,
@@ -478,26 +467,17 @@ def global_at_least(g: Graph, k: int, t: int, variant: str,
     _check_solver_size(g)
     if t == 0:
         return "yes"
-    if k == 1:
-        from .invariants import min_degree
-        return "yes" if min_degree(g) >= t else "no"
-    if k > g.n:
-        return "yes" if (g.is_connected() and t <= 1) else "no"
-    if not g.is_connected():
-        return "no"
+    conv = _convention(g, k, variant)
+    if conv is not None:
+        return "yes" if conv.value >= t else "no"
     eid = _eid_flat(g)
     pool = WorkBudget(budget_ms)
-    unknown = False
     for s in combinations(range(g.n), k):
         if pool.exhausted:
             return "unknown"
         if local_upper_bound(g, s, variant) < t:
             return "no"
         hit, decisive_no, _ = _try_reach(g, eid, s, variant, t, pool, cap)
-        if hit:
-            continue
-        if decisive_no:
-            return "no"
-        unknown = True
-        break
-    return "unknown" if unknown else "yes"
+        if not hit:
+            return "no" if decisive_no else "unknown"
+    return "yes"

@@ -135,8 +135,7 @@ def _one_sided(report: SuiteReport, claim: str, inst: str, relation: str,
 # ---------------------------------------------------------------------------
 # formulas
 
-def suite_formulas(max_n: int = 7, budget_ms: int | None = None,
-                   seed: int = 0) -> SuiteReport:
+def suite_formulas(max_n: int = 7, seed: int = 0) -> SuiteReport:
     rep = SuiteReport("formulas", seed, {"max_n": max_n})
 
     for n in range(3, max_n + 1):
@@ -304,8 +303,7 @@ def _check_graph_inequalities(rep: SuiteReport, g: Graph, inst: str) -> None:
 
 
 def suite_inequalities(seed: int = 1, count: int = 200, n_max: int = 7,
-                       m_max: int = 12,
-                       budget_ms: int | None = None) -> SuiteReport:
+                       m_max: int = 12) -> SuiteReport:
     rep = SuiteReport("inequalities", seed,
                       {"count": count, "n_max": n_max, "m_max": m_max})
 
@@ -452,9 +450,12 @@ def suite_linegraph(seed: int = 1, count: int = 50, count_deep: int = 20,
 # ---------------------------------------------------------------------------
 # constructions
 
+_CONSTRUCTION_BUDGET_MS = 10_000
+
+
 def suite_construction(seed: int = 1, pairs=((2, 3), (2, 4), (3, 5)),
                        sample: int = 500,
-                       budget_ms: int | None = 10_000) -> SuiteReport:
+                       budget_ms: int | None = _CONSTRUCTION_BUDGET_MS) -> SuiteReport:
     rep = SuiteReport("construction", seed,
                       {"pairs": [list(pq) for pq in pairs], "sample": sample,
                        "budget_ms": budget_ms})
@@ -512,7 +513,10 @@ def suite_construction(seed: int = 1, pairs=((2, 3), (2, 4), (3, 5)),
 
         # beyond 10 base vertices the exact base solve is out of desk range;
         # budget it and report the lower-bound certificate as inconclusive
-        base_budget = None if rows + cols <= 10 else (budget_ms or 10_000)
+        if rows + cols <= 10:
+            base_budget = None
+        else:
+            base_budget = _CONSTRUCTION_BUDGET_MS if budget_ms is None else budget_ms
         instd = prescribed_instance(p, q, refute=False,
                                     base_budget_ms=base_budget)
         rep.units += instd.base_result.units
@@ -567,19 +571,18 @@ def run_all(seed: int = 1, count: int | None = None, max_n: int | None = None,
 
     count scales the sampled suites: the inequality suite uses count
     directly (default 200), the line suite a quarter of it (default 50
-    shallow, 20 deep).
+    shallow, 20 deep).  budget_ms None keeps each suite's default budget.
     """
     top_n = 7 if max_n is None else max_n
     n_ineq = 200 if count is None else count
     n_line = 50 if count is None else max(1, count // 4)
     n_deep = 20 if count is None else max(1, count // 10)
+    budget = {} if budget_ms is None else {"budget_ms": budget_ms}
     return [
         suite_formulas(max_n=top_n),
         suite_inequalities(seed=seed, count=n_ineq, n_max=min(top_n, 7)),
-        suite_linegraph(seed=seed, count=n_line, count_deep=n_deep,
-                        budget_ms=20_000 if budget_ms is None else budget_ms),
-        suite_construction(seed=seed,
-                           budget_ms=10_000 if budget_ms is None else budget_ms),
+        suite_linegraph(seed=seed, count=n_line, count_deep=n_deep, **budget),
+        suite_construction(seed=seed, **budget),
     ]
 
 

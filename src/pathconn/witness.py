@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .graphs import Graph, InputError, canon_edge, complete, complete_bipartite
 from .steiner import (
@@ -397,15 +398,8 @@ def prescribed_instance(p: int, q: int, budget_ms: int | None = 60_000,
     if line.graph != prod:
         raise AssertionError("line graph does not match the product layout")
     lg = line.graph
-    best = None
-    for a in range(lg.n):
-        for b in range(a + 1, lg.n):
-            for c in range(b + 1, lg.n):
-                s = (a, b, c)
-                key = (local_upper_bound(lg, s, PI), s)
-                if best is None or key < best:
-                    best = key
-    s_star = best[1]
+    s_star = min(combinations(range(lg.n), 3),
+                 key=lambda s: (local_upper_bound(lg, s, PI), s))
     fam = product_witness_family(p, q, s_star)
     cert = PackingCertificate(PI, s_star, fam, LOWER_BOUND)
     refutation = None

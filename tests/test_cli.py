@@ -142,6 +142,21 @@ def test_verify_runs_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_keeps_an_explicit_zero_budget(tmp_path):
+    for suite, extra in (("line", ["--count", "1"]), ("construction", [])):
+        out = tmp_path / f"{suite}.json"
+        assert main(["verify", "--suite", suite, *extra, "--budget-ms", "0",
+                     "--json", "-o", str(out)]) == 2
+        data = json.loads(out.read_text())
+        assert data["reports"][0]["params"]["budget_ms"] == 0
+
+
+def test_verify_rejects_max_n_below_inequality_graphs(capsys):
+    for suite in ("inequalities", "all"):
+        assert main(["verify", "--suite", suite, "--max-n", "3"]) == 3
+        assert "--max-n" in capsys.readouterr().err
+
+
 def test_entry_point_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

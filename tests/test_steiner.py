@@ -142,8 +142,9 @@ def test_local_upper_bound_is_sound():
 
 
 def test_global_upper_bound_is_sound():
-    for g in _oracle_graphs(seed=17, count=8, m_max=8):
-        for k in (2, 3):
+    two_triangles = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    for g in _oracle_graphs(seed=17, count=8, m_max=8) + [two_triangles]:
+        for k in (1, 2, 3):
             for variant in VARIANTS:
                 assert naive_global_value(g, k, variant) <= upper_bound(g, k, variant)
 

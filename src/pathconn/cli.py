@@ -12,8 +12,7 @@ import json
 import sys
 from itertools import combinations
 
-from .graphs import (Graph, InputError, complete, complete_bipartite, cycle,
-                     net, parse_graph, path, serialize_graph, star)
+from .graphs import GENERATORS, Graph, InputError, parse_graph, serialize_graph
 from .invariants import k_connectivity_cut
 from .steiner import (EXACT, KAPPA, LAMBDA, OMEGA, PI, ZERO,
                       global_connectivity, local_connectivity, terminal_set)
@@ -25,15 +24,6 @@ from .witness import (_cached_product, _check_product_params, classify_triple,
                       family_violations, product_witness_family)
 
 _PARAMS = {"pi": PI, "omega": OMEGA, "kappa": KAPPA, "lambda": LAMBDA}
-
-_SIMPLE_FAMILIES = {
-    "complete": (complete, 1),
-    "bipartite": (complete_bipartite, 2),
-    "star": (star, 1),
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "net": (net, 0),
-}
 
 
 def _read_graph(fname: str) -> Graph:
@@ -61,8 +51,8 @@ def _parse_set(text: str) -> tuple[int, ...]:
 
 def _cmd_gen(args) -> int:
     fam = args.family
-    if fam in _SIMPLE_FAMILIES:
-        fn, arity = _SIMPLE_FAMILIES[fam]
+    if fam in GENERATORS:
+        fn, arity = GENERATORS[fam]
         params = args.params or []
         if len(params) != arity:
             raise InputError(f"family {fam!r} needs {arity} parameter(s), "
@@ -203,18 +193,22 @@ def _cmd_verify(args) -> int:
             and args.max_n is not None and args.max_n < 4):
         raise InputError("--max-n must be >= 4 for the inequalities suite, "
                          "whose random graphs have at least 4 vertices")
+    if args.count is not None and args.count < 0:
+        raise InputError("--count must be >= 0")
+    max_n = 7 if args.max_n is None else args.max_n
     # an absent --budget-ms keeps the suite's own default
     budget = {} if args.budget_ms is None else {"budget_ms": args.budget_ms}
     if args.suite == "all":
         reports = run_all(seed=args.seed, count=args.count, max_n=args.max_n,
                           budget_ms=args.budget_ms)
     elif args.suite == "formulas":
-        reports = [suite_formulas(max_n=args.max_n or 7)]
+        reports = [suite_formulas(max_n=max_n)]
     elif args.suite == "inequalities":
-        reports = [suite_inequalities(seed=args.seed, count=args.count or 200,
-                                      n_max=min(args.max_n or 7, 7))]
+        count = 200 if args.count is None else args.count
+        reports = [suite_inequalities(seed=args.seed, count=count,
+                                      n_max=min(max_n, 7))]
     elif args.suite == "line":
-        count = args.count or 50
+        count = 50 if args.count is None else args.count
         reports = [suite_linegraph(seed=args.seed, count=count,
                                    count_deep=max(1, count * 2 // 5), **budget)]
     elif args.suite == "construction":
@@ -235,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a graph in the text format")
     gen.add_argument("--family", required=True,
-                     choices=sorted(_SIMPLE_FAMILIES) + ["line-of", "product"])
+                     choices=sorted(GENERATORS) + ["line-of", "product"])
     gen.add_argument("--params", type=int, nargs="*")
     gen.add_argument("--input", help="base graph file (line-of, product)")
     gen.add_argument("--input2", help="second factor file (product)")

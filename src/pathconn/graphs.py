@@ -82,9 +82,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return canon_edge(u, v) in self.edge_index
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def without_edge(self, u: int, v: int) -> "Graph":
         e = canon_edge(u, v)
         if e not in self.edge_index:

@@ -33,7 +33,7 @@ VARIANTS = (PI, OMEGA, KAPPA, LAMBDA)
 _INTERNAL = {PI: True, OMEGA: False, KAPPA: True, LAMBDA: False}
 _TREE = {PI: False, OMEGA: False, KAPPA: True, LAMBDA: True}
 
-DEFAULT_CAP = 200_000
+DEFAULT_CAP = 200_000  # the most candidates listed for one terminal set
 UNITS_PER_MS = 500
 _INF_UNITS = 1 << 62
 
@@ -268,29 +268,29 @@ def _enumerate(g: Graph, smask: int, tree: bool, cap: int, budget: int):
     return impl.enumerate_paths(g.n, g.masks, smask, cap, budget)
 
 
-def enumerate_minimal_spaths(g: Graph, s, cap: int = DEFAULT_CAP,
-                             budget_ms: int | None = None):
+def enumerate_minimal_spaths(g: Graph, s, *, budget_ms: int | None = None):
     """All minimal terminal paths for s, canonical order.
 
-    Returns (paths, truncated); truncated means the cap or budget stopped
-    enumeration before it was exhaustive.
+    Returns (paths, truncated); truncated means DEFAULT_CAP or the budget
+    stopped enumeration before it was exhaustive.
     """
     s = _local_terminals(g, s)
-    paths, complete, _ = _enumerate(g, _smask(s), False, cap, WorkBudget(budget_ms).left)
+    paths, complete, _ = _enumerate(g, _smask(s), False, DEFAULT_CAP,
+                                    WorkBudget(budget_ms).left)
     return tuple(paths), not complete
 
 
-def enumerate_minimal_strees(g: Graph, s, cap: int = DEFAULT_CAP,
-                             budget_ms: int | None = None):
+def enumerate_minimal_strees(g: Graph, s, *, budget_ms: int | None = None):
     """All minimal terminal trees for s (edge tuples), canonical order."""
     s = _local_terminals(g, s)
-    trees, complete, _ = _enumerate(g, _smask(s), True, cap, WorkBudget(budget_ms).left)
+    trees, complete, _ = _enumerate(g, _smask(s), True, DEFAULT_CAP,
+                                    WorkBudget(budget_ms).left)
     return tuple(trees), not complete
 
 
-def _enumerate_and_pack(g: Graph, eid, s, variant, pool: WorkBudget, cap: int,
-                        target: int, decide: bool):
-    """Enumerate the candidates for s, then pack them toward target.
+def _enumerate_and_pack(g: Graph, eid, s, variant, pool: WorkBudget,
+                        target: int, decide: bool, cap: int = DEFAULT_CAP):
+    """Enumerate at most cap candidates for s, then pack them toward target.
 
     Both stages are charged to pool; the pack gets what enumeration left.
     decide selects decision mode, which prunes every branch that cannot
@@ -314,7 +314,7 @@ def _enumerate_and_pack(g: Graph, eid, s, variant, pool: WorkBudget, cap: int,
     return tuple(cands[i] for i in sel), enum_complete, pack_complete and enum_complete
 
 
-def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget, cap: int,
+def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget,
                  ub: int) -> PackingCertificate:
     """Exact-intent local solve; degrades to lower-bound on budget expiry.
 
@@ -323,7 +323,7 @@ def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget, cap: int,
     """
     if pool.exhausted:
         return PackingCertificate(variant, s, (), LOWER_BOUND)
-    family, _, proven = _enumerate_and_pack(g, eid, s, variant, pool, cap, ub, False)
+    family, _, proven = _enumerate_and_pack(g, eid, s, variant, pool, ub, False)
     if not family:
         status = ZERO if proven else LOWER_BOUND
     else:
@@ -331,18 +331,18 @@ def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget, cap: int,
     return PackingCertificate(variant, s, family, status)
 
 
-def local_connectivity(g: Graph, s, variant: str, budget_ms: int | None = None,
-                       cap: int = DEFAULT_CAP) -> PackingCertificate:
+def local_connectivity(g: Graph, s, variant: str,
+                       budget_ms: int | None = None) -> PackingCertificate:
     """Largest disjoint family of minimal terminal paths/trees for s."""
     _check_variant(variant)
     s = _local_terminals(g, s)
     pool = WorkBudget(budget_ms)
-    return _local_solve(g, _eid_flat(g), s, variant, pool, cap,
+    return _local_solve(g, _eid_flat(g), s, variant, pool,
                         local_upper_bound(g, s, variant))
 
 
 def pack_at_least(g: Graph, s, t: int, variant: str,
-                  budget_ms: int | None = None, cap: int = DEFAULT_CAP) -> PackDecision:
+                  budget_ms: int | None = None) -> PackDecision:
     """Decide whether a disjoint family of size >= t exists for s."""
     _check_variant(variant)
     s = _local_terminals(g, s)
@@ -351,14 +351,15 @@ def pack_at_least(g: Graph, s, t: int, variant: str,
     if local_upper_bound(g, s, variant) < t:
         return PackDecision("no", None, 0)
     pool = WorkBudget(budget_ms)
-    family, _, proven = _enumerate_and_pack(g, _eid_flat(g), s, variant, pool, cap, t, True)
+    family, _, proven = _enumerate_and_pack(g, _eid_flat(g), s, variant, pool, t, True)
     cert = PackingCertificate(variant, s, family, LOWER_BOUND) if family else None
     answer = "yes" if len(family) >= t else "no" if proven else "unknown"
     return PackDecision(answer, cert, pool.spent)
 
 
-def _try_reach(g, eid, s, variant, goal, pool, cap):
-    """Cheap two-phase attempt to certify local value >= goal.
+def _try_reach(g, eid, s, variant, goal, pool):
+    """Cheap attempt to certify local value >= goal: over the first 256
+    candidates, then over DEFAULT_CAP unless those were all of them.
 
     The caller has checked local_upper_bound(g, s, variant) >= goal.
     Returns (hit, decisive_no, best_found).  decisive_no means the search
@@ -367,19 +368,17 @@ def _try_reach(g, eid, s, variant, goal, pool, cap):
     if goal == 0:
         return True, False, 0
     best_seen = 0
-    for phase_cap in (256, cap):
+    for phase_cap in (256, DEFAULT_CAP):
         if pool.exhausted:
             break
         family, enum_complete, proven = _enumerate_and_pack(
-            g, eid, s, variant, pool, phase_cap, goal, True)
+            g, eid, s, variant, pool, goal, True, phase_cap)
         best_seen = max(best_seen, len(family))
         if len(family) >= goal:
             return True, False, len(family)
         if proven:
             return False, True, best_seen
-        if enum_complete or phase_cap == cap:
-            # every candidate was enumerated, or the caller's cap was
-            # reached, so a second phase would only repeat this one
+        if enum_complete:
             break
     return False, False, best_seen
 
@@ -411,8 +410,7 @@ def _convention(g: Graph, k: int, variant: str) -> GlobalResult | None:
 
 
 def global_connectivity(g: Graph, k: int, variant: str,
-                        budget_ms: int | None = None,
-                        cap: int = DEFAULT_CAP) -> GlobalResult:
+                        budget_ms: int | None = None) -> GlobalResult:
     """Minimum local value over all k-subsets, with the conventions of
     _convention for k = 1, k > n and disconnected graphs."""
     _check_variant(variant)
@@ -439,12 +437,12 @@ def global_connectivity(g: Graph, k: int, variant: str,
             # the sets not scanned have lower bound 0
             return GlobalResult(variant, k, 0, LOWER_BOUND, best_s, best_cert, pool.spent)
         if best_val is not None and ub >= best_val:
-            hit, decisive_no, found = _try_reach(g, eid, s, variant, best_val, pool, cap)
+            hit, decisive_no, found = _try_reach(g, eid, s, variant, best_val, pool)
             if not decisive_no:
                 low = min(low, best_val if hit else found)
                 continue
             ub = best_val - 1
-        cert = _local_solve(g, eid, s, variant, pool, cap, ub)
+        cert = _local_solve(g, eid, s, variant, pool, ub)
         low = cert.value if low is None else min(low, cert.value)
         if cert.status in (EXACT, ZERO) and (best_val is None or cert.value < best_val):
             best_val, best_s, best_cert = cert.value, s, cert
@@ -455,7 +453,7 @@ def global_connectivity(g: Graph, k: int, variant: str,
 
 
 def global_at_least(g: Graph, k: int, t: int, variant: str,
-                    budget_ms: int | None = None, cap: int = DEFAULT_CAP) -> str:
+                    budget_ms: int | None = None) -> str:
     """Decide whether every k-subset admits a disjoint family of size >= t.
 
     Returns "yes", "no", or "unknown".  Much cheaper than an exact global
@@ -477,7 +475,7 @@ def global_at_least(g: Graph, k: int, t: int, variant: str,
             return "unknown"
         if local_upper_bound(g, s, variant) < t:
             return "no"
-        hit, decisive_no, _ = _try_reach(g, eid, s, variant, t, pool, cap)
+        hit, decisive_no, _ = _try_reach(g, eid, s, variant, t, pool)
         if not hit:
             return "no" if decisive_no else "unknown"
     return "yes"

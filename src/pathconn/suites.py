@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import (Graph, complete, complete_bipartite, cycle, net, star)
+from .graphs import Graph, InputError, complete, complete_bipartite, cycle, net, star
 from .invariants import connectivity, edge_connectivity, k_connectivity_cut, min_degree
 from .random_graphs import RandomGraphSpec, sample_graph
 from .steiner import (
@@ -204,6 +204,7 @@ def suite_formulas(max_n: int = 7, seed: int = 0) -> SuiteReport:
 
 _IDENTITY_KS = (1, 2)
 _BOUND_KS = (3, 4)
+_INEQ_MIN_N = 4  # the fewest vertices of a sampled graph
 
 
 def _check_graph_inequalities(rep: SuiteReport, g: Graph, inst: str) -> None:
@@ -302,8 +303,15 @@ def _check_graph_inequalities(rep: SuiteReport, g: Graph, inst: str) -> None:
                             ok)
 
 
+def _check_min_n(name: str, value: int) -> None:
+    if value < _INEQ_MIN_N:
+        raise InputError(f"{name} must be >= {_INEQ_MIN_N} for the inequality "
+                         f"suite's random graphs, got {value}")
+
+
 def suite_inequalities(seed: int = 1, count: int = 200, n_max: int = 7,
                        m_max: int = 12) -> SuiteReport:
+    _check_min_n("n_max", n_max)
     rep = SuiteReport("inequalities", seed,
                       {"count": count, "n_max": n_max, "m_max": m_max})
 
@@ -325,7 +333,7 @@ def suite_inequalities(seed: int = 1, count: int = 200, n_max: int = 7,
                 p5 is not None and o5 is not None
                 and p5.value == o5.value == 1 == min_degree(c5) - 1)
 
-    spec = RandomGraphSpec(n_min=4, n_max=n_max, m_min=3, m_max=m_max,
+    spec = RandomGraphSpec(n_min=_INEQ_MIN_N, n_max=n_max, m_min=3, m_max=m_max,
                            requirement="connected")
     rng = random.Random(seed)
     for i in range(count):
@@ -574,6 +582,7 @@ def run_all(seed: int = 1, count: int | None = None, max_n: int | None = None,
     shallow, 20 deep).  budget_ms None keeps each suite's default budget.
     """
     top_n = 7 if max_n is None else max_n
+    _check_min_n("max_n", top_n)
     n_ineq = 200 if count is None else count
     n_line = 50 if count is None else max(1, count // 4)
     n_deep = 20 if count is None else max(1, count // 10)

@@ -151,6 +151,19 @@ def test_verify_keeps_an_explicit_zero_budget(tmp_path):
         assert data["reports"][0]["params"]["budget_ms"] == 0
 
 
+def test_verify_honours_explicit_zero_count_and_max_n(tmp_path, capsys):
+    for suite, args, param in (
+            ("inequalities", ["--count", "0", "--max-n", "4"], "count"),
+            ("line", ["--count", "0"], "count"),
+            ("formulas", ["--max-n", "0"], "max_n")):
+        out = tmp_path / f"{suite}.json"
+        assert main(["verify", "--suite", suite, *args,
+                     "--json", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["reports"][0]["params"][param] == 0
+    assert main(["verify", "--suite", "line", "--count", "-1"]) == 3
+    assert "--count" in capsys.readouterr().err
+
+
 def test_verify_rejects_max_n_below_inequality_graphs(capsys):
     for suite in ("inequalities", "all"):
         assert main(["verify", "--suite", suite, "--max-n", "3"]) == 3

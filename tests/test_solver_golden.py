@@ -8,8 +8,8 @@ that alters any of them alters observable results, and the failure names
 every call that differs.
 
 The cases cover all four variants, the k = 1, k > n and disconnected
-conventions, budgets 0, 1 and ones that stop a global scan part way,
-caps 1 and 256, thresholds below, at and above local_upper_bound, and
+conventions, budgets 0, 1, 2 and 100 and ones that stop a global scan
+part way, thresholds below, at and above local_upper_bound, and
 thresholds at and above the global value.
 
 Regenerate the records, only for a change meant to alter results, with
@@ -30,7 +30,7 @@ from pathconn.graphs import (Graph, InputError, complete, complete_bipartite,
                              cycle, net, star)
 from pathconn.random_graphs import RandomGraphSpec, sample_graphs
 from pathconn.steiner import (
-    DEFAULT_CAP, LOWER_BOUND, VARIANTS, enumerate_minimal_spaths,
+    LOWER_BOUND, VARIANTS, enumerate_minimal_spaths,
     enumerate_minimal_strees, global_at_least, global_connectivity,
     local_connectivity, local_upper_bound, pack_at_least,
 )
@@ -42,10 +42,9 @@ ENTRY_POINTS = ("global_connectivity", "global_at_least", "local_connectivity",
                 "pack_at_least", "enumerate_minimal_spaths",
                 "enumerate_minimal_strees")
 
-# (budget_ms, cap) pairs, taken in turn by the calls of each entry point;
+# budgets in ms, taken in turn by the calls of each entry point;
 # budgets 3 and 20 stop some global scans part way
-_LIMITS = ((0, DEFAULT_CAP), (1, DEFAULT_CAP), (3, DEFAULT_CAP),
-           (20, DEFAULT_CAP), (None, 1), (None, 256))
+_LIMITS = (0, 1, 3, 20, 2, 100)
 
 
 def _graphs() -> list[tuple[str, Graph]]:
@@ -101,16 +100,14 @@ def _record(fn, *args, **kwargs) -> list:
     return [len(family), truncated, _digest(family)]
 
 
-def _call(fn, gname: str, g: Graph, *args, budget_ms=None, cap=DEFAULT_CAP):
+def _call(fn, gname: str, g: Graph, *args, budget_ms=None):
     """(entry point, arguments, thunk); the arguments name the graph and
     every limit that is not the default."""
     shown = [gname] + [repr(a) for a in args]
     if budget_ms is not None:
         shown.append(f"budget_ms={budget_ms}")
-    if cap != DEFAULT_CAP:
-        shown.append(f"cap={cap}")
     return (fn.__name__, ", ".join(shown),
-            lambda: _record(fn, g, *args, budget_ms=budget_ms, cap=cap))
+            lambda: _record(fn, g, *args, budget_ms=budget_ms))
 
 
 def _terminal_sets(g: Graph) -> list[tuple[int, ...]]:
@@ -130,9 +127,9 @@ def _cases():
     turns = {fn: itertools.cycle(_LIMITS) for fn in ENTRY_POINTS}
 
     def calls(fn, gname, g, *args):
-        budget, cap = next(turns[fn.__name__])
+        budget = next(turns[fn.__name__])
         yield _call(fn, gname, g, *args)
-        yield _call(fn, gname, g, *args, budget_ms=budget, cap=cap)
+        yield _call(fn, gname, g, *args, budget_ms=budget)
 
     for gname, g in _graphs():
         ks = sorted({1, 2, 3, 4, g.n + 1} - {k for k in (2, 3, 4) if k > g.n})

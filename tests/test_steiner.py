@@ -7,6 +7,7 @@ from oracle import (
     all_terminal_paths, all_terminal_trees, naive_global_value,
     naive_local_value,
 )
+from pathconn import _pure
 from pathconn.graphs import Graph, InputError, complete, complete_bipartite, cycle, net, path, star
 from pathconn.invariants import connectivity, edge_connectivity
 from pathconn.random_graphs import RandomGraphSpec, sample_graphs
@@ -205,9 +206,23 @@ def test_solver_calls_are_deterministic():
     assert c == d
 
 
-def test_enumeration_cap_reports_truncation():
-    paths, truncated = enumerate_minimal_spaths(complete(7), (0, 1, 2), cap=5)
-    assert truncated and len(paths) == 5
+def test_enumeration_budget_reports_truncation():
+    g, s = complete(7), (0, 1, 2)
+    full, truncated = enumerate_minimal_spaths(g, s)
+    assert not truncated
+    paths, truncated = enumerate_minimal_spaths(g, s, budget_ms=1)
+    assert truncated and 0 < len(paths) < len(full)
+    assert paths == full[:len(paths)]
+
+
+@pytest.mark.parametrize("cap", [1, 5, 256])
+def test_path_cap_keeps_a_prefix(cap):
+    # the global solvers first pack the first 256 paths of the full list
+    g, smask, huge = complete(7), 0b111, 1 << 62
+    full, complete_, _ = _pure.enumerate_paths(g.n, g.masks, smask, huge, huge)
+    assert complete_ and len(full) > 256
+    paths, complete_, _ = _pure.enumerate_paths(g.n, g.masks, smask, cap, huge)
+    assert (paths, complete_) == (full[:cap], False)
 
 
 def test_terminal_set_validation():

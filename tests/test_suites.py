@@ -3,6 +3,7 @@ import json
 import pytest
 
 import pathconn.suites as suites
+from pathconn.graphs import InputError
 from pathconn.steiner import EXACT, GlobalResult
 from pathconn.suites import (
     FAIL, INCONCLUSIVE, PASS, CheckResult, SuiteReport, exit_code,
@@ -105,12 +106,19 @@ def test_run_all_covers_every_suite_at_tiny_scale():
     assert sum(r.failed for r in reports) == 0
 
 
+def test_small_max_n_is_rejected_by_name():
+    with pytest.raises(InputError, match=r"^max_n must be >= 4"):
+        run_all(max_n=3)
+    with pytest.raises(InputError, match=r"^n_max must be >= 4"):
+        suite_inequalities(n_max=3)
+
+
 def test_corrupted_solver_is_caught():
     """Harness sensitivity: an off-by-one solver must produce failures."""
     real = suites.global_connectivity
 
-    def lying(g, k, variant, budget_ms=None, cap=200_000):
-        res = real(g, k, variant, budget_ms=budget_ms, cap=cap)
+    def lying(g, k, variant, budget_ms=None):
+        res = real(g, k, variant, budget_ms=budget_ms)
         return GlobalResult(res.variant, res.k, res.value + 1, EXACT,
                             res.terminals, res.certificate, res.units)
 

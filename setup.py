@@ -1,5 +1,12 @@
 """Build script for the optional compiled kernel.
 
+The extension is compiled from the shipped C source src/pathconn/_kernel.c,
+so building it needs only a C compiler.  That file is generated from
+src/pathconn/_kernel.pyx; after editing the .pyx, regenerate it with
+Cython 3 and update the hash pinned in tests/test_kernel_source.py:
+
+    cython -3 -X boundscheck=False -X wraparound=False -X initializedcheck=False -X cdivision=True src/pathconn/_kernel.pyx
+
 The package works without the extension: pathconn._backend falls back to the
 pure-Python kernel if pathconn._kernel is missing.  Set PATHCONN_NO_EXT=1 to
 skip the extension build entirely.
@@ -32,22 +39,7 @@ class OptionalBuildExt(build_ext):
 def extensions():
     if os.environ.get("PATHCONN_NO_EXT") == "1":
         return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("warning: Cython not available; pure-Python backend will be used")
-        return []
-    ext = Extension("pathconn._kernel", ["src/pathconn/_kernel.pyx"])
-    return cythonize(
-        [ext],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "initializedcheck": False,
-            "cdivision": True,
-        },
-    )
+    return [Extension("pathconn._kernel", ["src/pathconn/_kernel.c"])]
 
 
 setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})

@@ -209,8 +209,7 @@ def _cmd_verify(args) -> int:
                                       n_max=min(max_n, 7))]
     elif args.suite == "line":
         count = 50 if args.count is None else args.count
-        reports = [suite_linegraph(seed=args.seed, count=count,
-                                   count_deep=max(1, count * 2 // 5), **budget)]
+        reports = [suite_linegraph(seed=args.seed, count=count, **budget)]
     elif args.suite == "construction":
         reports = [suite_construction(seed=args.seed, **budget)]
     else:

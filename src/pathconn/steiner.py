@@ -91,17 +91,6 @@ class PackingCertificate:
     def value(self) -> int:
         return len(self.family)
 
-    def to_dict(self) -> dict:
-        fam = [[list(e) for e in item] if _TREE[self.variant] else list(item)
-               for item in self.family]
-        return {
-            "variant": self.variant,
-            "terminals": list(self.terminals),
-            "family": fam,
-            "value": self.value,
-            "status": self.status,
-        }
-
 
 @dataclass(frozen=True)
 class GlobalResult:
@@ -114,17 +103,6 @@ class GlobalResult:
     terminals: tuple[int, ...] | None
     certificate: PackingCertificate | None
     units: int
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "k": self.k,
-            "value": self.value,
-            "status": self.status,
-            "terminals": None if self.terminals is None else list(self.terminals),
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
-            "units": self.units,
-        }
 
 
 @dataclass(frozen=True)
@@ -436,7 +414,9 @@ def global_connectivity(g: Graph, k: int, variant: str,
         if pool.exhausted:
             # the sets not scanned have lower bound 0
             return GlobalResult(variant, k, 0, LOWER_BOUND, best_s, best_cert, pool.spent)
-        if best_val is not None and ub >= best_val:
+        # sets come in ascending bound order and best_val is a proven value
+        # at an earlier set, so best_val <= that set's bound <= ub here
+        if best_val is not None:
             hit, decisive_no, found = _try_reach(g, eid, s, variant, best_val, pool)
             if not decisive_no:
                 low = min(low, best_val if hit else found)

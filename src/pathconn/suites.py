@@ -3,6 +3,13 @@
 Each suite emits one record per check: suite, claim id, instance,
 expected relation, observed values, verdict.  Verdicts are "pass",
 "fail", or "inconclusive" (budget-limited; never counted as failure).
+Every global value the suites solve goes through `_value`, the one place
+that handles a result that is not exact (budget-capped): the check that
+reads it is recorded as inconclusive with observed text "budget-capped",
+once, even when the check needs two values or other checks read the same
+value; never as a pass, a fail or a skip.  The construction suite's base
+value comes from `prescribed_instance` instead, and its lower bound fails
+the check only when it already exceeds p.
 Reports are pure functions of (seed, parameters): instances come from the
 seeded sampler and solver effort is measured in deterministic work units,
 so identical invocations serialize byte-identically.
@@ -113,11 +120,16 @@ def _desc(g: Graph, label: str = "") -> str:
     return f"{head}n={g.n};m={g.m};edges=[{edges}]"
 
 
-def _value(report: SuiteReport, g: Graph, k: int, variant: str):
-    """Exact global value, or None (recording nothing) when budget-capped."""
+def _value(report: SuiteReport, claim: str, inst: str, relation: str,
+           g: Graph, k: int, variant: str):
+    """Exact global result, or None after recording the check that reads
+    it as inconclusive, when the result is not exact (budget-capped)."""
     res = global_connectivity(g, k, variant)
     report.units += res.units
-    return res if res.status == EXACT else None
+    if res.status == EXACT:
+        return res
+    report.record(claim, inst, relation, "budget-capped", INCONCLUSIVE)
+    return None
 
 
 def _one_sided(report: SuiteReport, claim: str, inst: str, relation: str,
@@ -141,44 +153,33 @@ def suite_formulas(max_n: int = 7, seed: int = 0) -> SuiteReport:
     for n in range(3, max_n + 1):
         for k in range(3, n + 1):
             want = complete_graph_value(n, k)
-            res = _value(rep, complete(n), k, PI)
-            if res is None:
-                rep.record("complete-path-value", f"K_{n};k={k}",
-                           "path value == floor((2n+k^2-3k)/(2k-2))",
-                           "budget-capped", INCONCLUSIVE)
-            else:
-                rep.require("complete-path-value", f"K_{n};k={k}",
-                            "path value == floor((2n+k^2-3k)/(2k-2))",
-                            f"solver={res.value} formula={want}",
+            claim = ("complete-path-value", f"K_{n};k={k}",
+                     "path value == floor((2n+k^2-3k)/(2k-2))")
+            res = _value(rep, *claim, complete(n), k, PI)
+            if res is not None:
+                rep.require(*claim, f"solver={res.value} formula={want}",
                             res.value == want)
 
     for a in range(2, 6):
         for b in range(a, 6):
             want = min(a // 2, b // 2)
-            res = _value(rep, complete_bipartite(a, b), 3, PI)
-            if res is None:
-                rep.record("bipartite-triple-path-value", f"K_{a},{b}",
-                           "triple path value == min(floor(a/2), floor(b/2))",
-                           "budget-capped", INCONCLUSIVE)
-            else:
-                rep.require("bipartite-triple-path-value", f"K_{a},{b}",
-                            "triple path value == min(floor(a/2), floor(b/2))",
-                            f"solver={res.value} formula={want}",
+            claim = ("bipartite-triple-path-value", f"K_{a},{b}",
+                     "triple path value == min(floor(a/2), floor(b/2))")
+            res = _value(rep, *claim, complete_bipartite(a, b), 3, PI)
+            if res is not None:
+                rep.require(*claim, f"solver={res.value} formula={want}",
                             res.value == want)
 
     for n in (4, 6):
         kn = complete(n)
         for e in kn.edges:
-            res = _value(rep, kn.without_edge(*e), 3, PI)
             inst = f"K_{n}-e;e={e[0]}-{e[1]}"
+            claim = ("complete-minus-edge-below-half", inst,
+                     "triple path value < n/2")
+            res = _value(rep, *claim, kn.without_edge(*e), 3, PI)
             if res is None:
-                rep.record("complete-minus-edge-below-half", inst,
-                           "triple path value < n/2", "budget-capped",
-                           INCONCLUSIVE)
                 continue
-            rep.require("complete-minus-edge-below-half", inst,
-                        "triple path value < n/2",
-                        f"solver={res.value} n/2={n // 2}",
+            rep.require(*claim, f"solver={res.value} n/2={n // 2}",
                         res.value < n / 2)
             if n == 6:
                 rep.require("complete-6-minus-edge-value", inst,
@@ -186,15 +187,11 @@ def suite_formulas(max_n: int = 7, seed: int = 0) -> SuiteReport:
                             f"solver={res.value}", res.value == 2)
 
     for leaves in range(3, 7):
-        res = _value(rep, star(leaves), 3, PI)
-        inst = f"star;leaves={leaves}"
-        if res is None:
-            rep.record("star-triple-path-zero", inst,
-                       "triple path value == 0", "budget-capped", INCONCLUSIVE)
-        else:
-            rep.require("star-triple-path-zero", inst,
-                        "triple path value == 0",
-                        f"solver={res.value}", res.value == 0)
+        claim = ("star-triple-path-zero", f"star;leaves={leaves}",
+                 "triple path value == 0")
+        res = _value(rep, *claim, star(leaves), 3, PI)
+        if res is not None:
+            rep.require(*claim, f"solver={res.value}", res.value == 0)
 
     return rep
 
@@ -202,7 +199,6 @@ def suite_formulas(max_n: int = 7, seed: int = 0) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # inequalities
 
-_IDENTITY_KS = (1, 2)
 _BOUND_KS = (3, 4)
 _INEQ_MIN_N = 4  # the fewest vertices of a sampled graph
 
@@ -212,11 +208,11 @@ def _check_graph_inequalities(rep: SuiteReport, g: Graph, inst: str) -> None:
     kap = connectivity(g)
     lam = edge_connectivity(g)
 
-    res1 = _value(rep, g, 1, PI)
+    claim = ("single-terminal-convention", inst, "k=1 value == min degree")
+    res1 = _value(rep, *claim, g, 1, PI)
     if res1 is not None:
-        rep.require("single-terminal-convention", inst,
-                    "k=1 value == min degree",
-                    f"value={res1.value} delta={delta}", res1.value == delta)
+        rep.require(*claim, f"value={res1.value} delta={delta}",
+                    res1.value == delta)
     pair_expect = {PI: kap, OMEGA: lam, KAPPA: kap, LAMBDA: lam}
     pair_claim = {
         PI: "pair-path-equals-connectivity",
@@ -225,12 +221,10 @@ def _check_graph_inequalities(rep: SuiteReport, g: Graph, inst: str) -> None:
         LAMBDA: "pair-edge-tree-equals-edge-connectivity",
     }
     for variant in (PI, OMEGA, KAPPA, LAMBDA):
-        res = _value(rep, g, 2, variant)
-        if res is None:
-            rep.record(pair_claim[variant], inst, "k=2 value == flow value",
-                       "budget-capped", INCONCLUSIVE)
-        else:
-            rep.require(pair_claim[variant], inst, "k=2 value == flow value",
+        claim = (pair_claim[variant], inst, "k=2 value == flow value")
+        res = _value(rep, *claim, g, 2, variant)
+        if res is not None:
+            rep.require(*claim,
                         f"value={res.value} flow={pair_expect[variant]}",
                         res.value == pair_expect[variant])
 
@@ -246,18 +240,18 @@ def _check_graph_inequalities(rep: SuiteReport, g: Graph, inst: str) -> None:
     for k in _BOUND_KS:
         if k > g.n:
             continue
+        tag = f"{inst};k={k}"
+        # the checks below read all four values, so the first capped one
+        # ends the block with its one inconclusive record
         vals = {}
-        capped = False
         for variant in (PI, OMEGA, KAPPA, LAMBDA):
-            res = _value(rep, g, k, variant)
+            res = _value(rep, "variant-order", f"{tag};{variant}",
+                         "pi_k <= kappa_k <= lambda_k, "
+                         "pi_k <= omega_k <= lambda_k", g, k, variant)
             if res is None:
-                capped = True
                 break
             vals[variant] = res
-        tag = f"{inst};k={k}"
-        if capped:
-            rep.record("variant-order", tag, "budget-capped computing values",
-                       "budget-capped", INCONCLUSIVE)
+        if len(vals) < 4:
             continue
         pi, om = vals[PI].value, vals[OMEGA].value
         ka, la = vals[KAPPA].value, vals[LAMBDA].value
@@ -316,22 +310,22 @@ def suite_inequalities(seed: int = 1, count: int = 200, n_max: int = 7,
                       {"count": count, "n_max": n_max, "m_max": m_max})
 
     h = net()
-    res3 = _value(rep, h, 3, KAPPA)
-    cut3 = k_connectivity_cut(h, 3)
-    rep.require("tree-vs-cut-discrimination", _desc(h, "net"),
-                "tree value 1 differs from cut value 2",
-                f"kappa_3={None if res3 is None else res3.value} cut_3={cut3}",
-                res3 is not None and res3.value == 1 and cut3 == 2)
+    claim = ("tree-vs-cut-discrimination", _desc(h, "net"),
+             "tree value 1 differs from cut value 2")
+    res3 = _value(rep, *claim, h, 3, KAPPA)
+    if res3 is not None:
+        cut3 = k_connectivity_cut(h, 3)
+        rep.require(*claim, f"kappa_3={res3.value} cut_3={cut3}",
+                    res3.value == 1 and cut3 == 2)
 
     c5 = cycle(5)
-    p5 = _value(rep, c5, 3, PI)
-    o5 = _value(rep, c5, 3, OMEGA)
-    rep.require("five-cycle-values", _desc(c5, "C_5"),
-                "pi_3 == omega_3 == 1 == delta - 1",
-                f"pi={None if p5 is None else p5.value} "
-                f"omega={None if o5 is None else o5.value}",
-                p5 is not None and o5 is not None
-                and p5.value == o5.value == 1 == min_degree(c5) - 1)
+    claim = ("five-cycle-values", _desc(c5, "C_5"),
+             "pi_3 == omega_3 == 1 == delta - 1")
+    p5 = _value(rep, *claim, c5, 3, PI)
+    o5 = p5 and _value(rep, *claim, c5, 3, OMEGA)
+    if o5 is not None:
+        rep.require(*claim, f"pi={p5.value} omega={o5.value}",
+                    p5.value == o5.value == 1 == min_degree(c5) - 1)
 
     spec = RandomGraphSpec(n_min=_INEQ_MIN_N, n_max=n_max, m_min=3, m_max=m_max,
                            requirement="connected")
@@ -359,33 +353,27 @@ def _line_checks_shallow(rep: SuiteReport, g: Graph, inst: str,
                 "lambda(L) >= 2*lambda - 2",
                 f"lambda(L)={lam_l} lambda={lam}", lam_l >= 2 * lam - 2)
 
-    vals = {}
-    for k in (3, 4):
-        if k > g.n:
-            continue
-        for variant in (PI, OMEGA):
-            res = _value(rep, g, k, variant)
-            if res is not None:
-                vals[(variant, k)] = res.value
-
-    if (OMEGA, 3) in vals:
-        om3 = vals[(OMEGA, 3)]
-        _one_sided(rep, "line-path-ge-base-edge-path", inst,
-                   "pi_3(L) >= omega_3", lg, 3, om3, PI, budget_ms)
+    claim = ("line-path-ge-base-edge-path", inst, "pi_3(L) >= omega_3")
+    om3 = _value(rep, *claim, g, 3, OMEGA)
+    if om3 is not None:
+        _one_sided(rep, *claim, lg, 3, om3.value, PI, budget_ms)
         _one_sided(rep, "line-edge-path-drop", inst,
-                   "omega_3(L) >= omega_3 - 1", lg, 3, om3 - 1, OMEGA,
+                   "omega_3(L) >= omega_3 - 1", lg, 3, om3.value - 1, OMEGA,
                    budget_ms)
         _one_sided(rep, "line-path-ge-scaled-edge-path", inst,
-                   "pi_3(L) >= floor(omega_3 / 2)", lg, 3, om3 // 2, PI,
+                   "pi_3(L) >= floor(omega_3 / 2)", lg, 3, om3.value // 2, PI,
                    budget_ms)
-    if (OMEGA, 4) in vals and lg.n >= 4:
-        om4 = vals[(OMEGA, 4)]
-        _one_sided(rep, "line-path-ge-scaled-edge-path", f"{inst};k=4",
-                   "pi_4(L) >= floor(omega_4 / 4)", lg, 4, om4 // 4, PI,
-                   budget_ms)
-        _one_sided(rep, "line-edge-path-ge-scaled-edge-path", f"{inst};k=4",
-                   "omega_4(L) >= floor(omega_4 / 4)", lg, 4, om4 // 4, OMEGA,
-                   budget_ms)
+    if g.n < 4 or lg.n < 4:
+        return
+    inst4 = f"{inst};k=4"
+    claim = ("line-path-ge-scaled-edge-path", inst4,
+             "pi_4(L) >= floor(omega_4 / 4)")
+    om4 = _value(rep, *claim, g, 4, OMEGA)
+    if om4 is not None:
+        _one_sided(rep, *claim, lg, 4, om4.value // 4, PI, budget_ms)
+        _one_sided(rep, "line-edge-path-ge-scaled-edge-path", inst4,
+                   "omega_4(L) >= floor(omega_4 / 4)", lg, 4, om4.value // 4,
+                   OMEGA, budget_ms)
 
 
 def _line_checks_deep(rep: SuiteReport, g: Graph, inst: str,
@@ -400,46 +388,48 @@ def _line_checks_deep(rep: SuiteReport, g: Graph, inst: str,
                 "kappa(L(L)) >= 2*kappa - 2",
                 f"kappa(LL)={kap_ll} kappa={kap}", kap_ll >= 2 * kap - 2)
 
-    pi3 = _value(rep, g, 3, PI)
-    if pi3 is not None and llg.n >= 3:
-        _one_sided(rep, "double-line-path-drop", inst,
-                   "pi_3(L(L)) >= pi_3 - 1", llg, 3, pi3.value - 1, PI,
-                   budget_ms)
+    if llg.n >= 3:
+        claim = ("double-line-path-drop", inst, "pi_3(L(L)) >= pi_3 - 1")
+        pi3 = _value(rep, *claim, g, 3, PI)
+        if pi3 is not None:
+            _one_sided(rep, *claim, llg, 3, pi3.value - 1, PI, budget_ms)
     if g.n >= 4 and llg.n >= 4:
-        pi4 = _value(rep, g, 4, PI)
+        claim = ("double-line-scaled-path-drop", inst,
+                 "pi_4(L(L)) >= floor((pi_4 - 1) / 2)")
+        pi4 = _value(rep, *claim, g, 4, PI)
         if pi4 is not None:
-            _one_sided(rep, "double-line-scaled-path-drop", inst,
-                       "pi_4(L(L)) >= floor((pi_4 - 1) / 2)",
-                       llg, 4, (pi4.value - 1) // 2, PI, budget_ms)
+            _one_sided(rep, *claim, llg, 4, (pi4.value - 1) // 2, PI,
+                       budget_ms)
 
 
-def suite_linegraph(seed: int = 1, count: int = 50, count_deep: int = 20,
+def suite_linegraph(seed: int = 1, count: int = 50,
                     budget_ms: int | None = 20_000) -> SuiteReport:
+    """Line-graph checks on count sampled graphs, and double-line-graph
+    checks on count * 2 // 5 more (20 at the default 50)."""
+    count_deep = count * 2 // 5
     rep = SuiteReport("line", seed,
                       {"count": count, "count_deep": count_deep,
                        "budget_ms": budget_ms})
 
     c5 = cycle(5)
     lg5 = line_graph(c5).graph
-    o5 = _value(rep, c5, 3, OMEGA)
-    p5 = _value(rep, lg5, 3, PI)
-    rep.require("cycle-self-line-graph", _desc(c5, "C_5"),
-                "L(C_5) == C_5 up to labels and pi_3(L) >= omega_3 == 1",
-                f"omega_3={None if o5 is None else o5.value} "
-                f"pi_3(L)={None if p5 is None else p5.value}",
-                o5 is not None and p5 is not None
-                and sorted(lg5.degrees()) == sorted(c5.degrees())
-                and lg5.m == c5.m and p5.value >= o5.value == 1)
+    claim = ("cycle-self-line-graph", _desc(c5, "C_5"),
+             "L(C_5) == C_5 up to labels and pi_3(L) >= omega_3 == 1")
+    o5 = _value(rep, *claim, c5, 3, OMEGA)
+    p5 = o5 and _value(rep, *claim, lg5, 3, PI)
+    if p5 is not None:
+        rep.require(*claim, f"omega_3={o5.value} pi_3(L)={p5.value}",
+                    sorted(lg5.degrees()) == sorted(c5.degrees())
+                    and lg5.m == c5.m and p5.value >= o5.value == 1)
 
     k4 = complete(4)
-    ok4 = _value(rep, k4, 3, OMEGA)
-    pl4 = _value(rep, line_graph(k4).graph, 3, PI)
-    rep.require("line-path-ge-base-edge-path", _desc(k4, "K_4"),
-                "pi_3(L(K_4)) >= omega_3(K_4) == 2",
-                f"omega_3={None if ok4 is None else ok4.value} "
-                f"pi_3(L)={None if pl4 is None else pl4.value}",
-                ok4 is not None and pl4 is not None
-                and ok4.value == 2 and pl4.value >= 2)
+    claim = ("line-path-ge-base-edge-path", _desc(k4, "K_4"),
+             "pi_3(L(K_4)) >= omega_3(K_4) == 2")
+    ok4 = _value(rep, *claim, k4, 3, OMEGA)
+    pl4 = ok4 and _value(rep, *claim, line_graph(k4).graph, 3, PI)
+    if pl4 is not None:
+        rep.require(*claim, f"omega_3={ok4.value} pi_3(L)={pl4.value}",
+                    ok4.value == 2 and pl4.value >= 2)
 
     rng = random.Random(seed)
     shallow = RandomGraphSpec(n_min=4, n_max=6, m_min=4, m_max=9,
@@ -578,19 +568,18 @@ def run_all(seed: int = 1, count: int | None = None, max_n: int | None = None,
     """All four suites at their documented default scales.
 
     count scales the sampled suites: the inequality suite uses count
-    directly (default 200), the line suite a quarter of it (default 50
-    shallow, 20 deep).  budget_ms None keeps each suite's default budget.
+    directly (default 200), the line suite a quarter of it (default 50).
+    budget_ms None keeps each suite's default budget.
     """
     top_n = 7 if max_n is None else max_n
     _check_min_n("max_n", top_n)
     n_ineq = 200 if count is None else count
-    n_line = 50 if count is None else max(1, count // 4)
-    n_deep = 20 if count is None else max(1, count // 10)
+    n_line = 50 if count is None else count // 4
     budget = {} if budget_ms is None else {"budget_ms": budget_ms}
     return [
         suite_formulas(max_n=top_n),
         suite_inequalities(seed=seed, count=n_ineq, n_max=min(top_n, 7)),
-        suite_linegraph(seed=seed, count=n_line, count_deep=n_deep, **budget),
+        suite_linegraph(seed=seed, count=n_line, **budget),
         suite_construction(seed=seed, **budget),
     ]
 

@@ -153,7 +153,7 @@ def test_criterion_08_inequality_suite(scorecard):
 
 
 def test_criterion_09_line_graph_suite(scorecard):
-    rep = suite_linegraph(seed=1, count=50, count_deep=20, budget_ms=20_000)
+    rep = suite_linegraph(seed=1, count=50, budget_ms=20_000)
     failing = [c for c in rep.checks if c.verdict == "fail"]
     scorecard(9, "line-graph-suite", not failing,
               f"checks={len(rep.checks)} failed={len(failing)} "

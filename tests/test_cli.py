@@ -160,6 +160,10 @@ def test_verify_honours_explicit_zero_count_and_max_n(tmp_path, capsys):
         assert main(["verify", "--suite", suite, *args,
                      "--json", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["reports"][0]["params"][param] == 0
+    line = json.loads((tmp_path / "line.json").read_text())["reports"][0]
+    assert line["params"]["count_deep"] == 0
+    assert not [c for c in line["checks"]
+                if c["instance"].startswith(("sample", "deep"))]
     assert main(["verify", "--suite", "line", "--count", "-1"]) == 3
     assert "--count" in capsys.readouterr().err
 

@@ -4,7 +4,7 @@ import pytest
 
 import pathconn.suites as suites
 from pathconn.graphs import InputError
-from pathconn.steiner import EXACT, GlobalResult
+from pathconn.steiner import EXACT, LOWER_BOUND, GlobalResult
 from pathconn.suites import (
     FAIL, INCONCLUSIVE, PASS, CheckResult, SuiteReport, exit_code,
     render_reports, reports_to_dict, run_all, serialize_reports,
@@ -33,7 +33,7 @@ def test_inequalities_suite_passes_at_reduced_scale():
 
 
 def test_line_suite_passes_at_reduced_scale():
-    rep = suite_linegraph(seed=5, count=6, count_deep=2, budget_ms=10_000)
+    rep = suite_linegraph(seed=5, count=6, budget_ms=10_000)
     assert rep.failed == 0, [c for c in rep.checks if c.verdict == FAIL][:3]
     claims = {c.claim for c in rep.checks}
     assert "cycle-self-line-graph" in claims
@@ -131,6 +131,31 @@ def test_corrupted_solver_is_caught():
     failing = [c for c in rep.checks if c.verdict == FAIL]
     # the failing record names a reproducible instance
     assert all(c.instance for c in failing)
+
+
+def test_capped_values_are_inconclusive_never_failed():
+    """Every non-exact solver result gives exactly one inconclusive check."""
+    real = suites.global_connectivity
+    calls = []
+
+    def capped(g, k, variant, budget_ms=None):
+        calls.append((g, k, variant))
+        return GlobalResult(variant, k, 0, LOWER_BOUND, None, None, 1)
+
+    suites.global_connectivity = capped
+    try:
+        reports = [suite_formulas(max_n=4),
+                   suite_inequalities(seed=5, count=3, n_max=5, m_max=8),
+                   suite_linegraph(seed=5, count=3, budget_ms=2_000)]
+    finally:
+        suites.global_connectivity = real
+    for rep in reports:
+        capped_checks = [c for c in rep.checks if c.verdict == INCONCLUSIVE]
+        assert rep.failed == 0, [c for c in rep.checks if c.verdict == FAIL]
+        assert len(capped_checks) >= 1
+        assert all(c.observed == "budget-capped" for c in capped_checks)
+    assert sum(r.inconclusive for r in reports) == len(calls)
+    assert sum(r.units for r in reports) == len(calls)
 
 
 def test_corrupted_checker_is_caught():

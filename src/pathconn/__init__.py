@@ -21,15 +21,16 @@ from .steiner import (DEFAULT_CAP, EXACT, KAPPA, LAMBDA, LOWER_BOUND, OMEGA,
                       global_at_least, global_connectivity, local_connectivity,
                       local_upper_bound, pack_at_least, terminal_set,
                       upper_bound)
-from .suites import (SuiteReport, run_all, serialize_reports,
+from .suites import (SuiteReport, run_all, run_suite, serialize_reports,
                      suite_construction, suite_formulas, suite_inequalities,
                      suite_linegraph)
 from .transforms import (LabeledGraph, cartesian_product, commutativity_check,
                          line_graph, natural_iso_check)
-from .witness import (PrescribedInstance, ProductCoordinates, classify_triple,
-                      complete_graph_witness, family_violations,
-                      prescribed_instance, product_witness_family,
-                      product_witness_graph, verify_family)
+from .witness import (PrescribedInstance, ProductCoordinates, ProductWitness,
+                      classify_triple, complete_graph_witness,
+                      family_violations, prescribed_instance, product_witness,
+                      product_witness_family, product_witness_graph,
+                      verify_family)
 
 __version__ = "0.1.0"
 
@@ -37,7 +38,8 @@ __all__ = [
     "BACKEND", "DEFAULT_CAP", "EXACT", "GENERATORS", "KAPPA", "LAMBDA",
     "LOWER_BOUND", "OMEGA", "PI", "VARIANTS", "ZERO", "GlobalResult", "Graph",
     "InputError", "LabeledGraph", "PackDecision", "PackingCertificate",
-    "PrescribedInstance", "ProductCoordinates", "RandomGraphSpec",
+    "PrescribedInstance", "ProductCoordinates", "ProductWitness",
+    "RandomGraphSpec",
     "SuiteReport", "cartesian_product", "classify_triple", "commutativity_check",
     "complete", "complete_bipartite", "complete_graph_value",
     "complete_graph_witness", "components", "connectivity", "cycle",
@@ -46,7 +48,8 @@ __all__ = [
     "k_connectivity_cut", "line_graph", "local_connectivity",
     "local_upper_bound", "min_degree", "natural_iso_check", "net",
     "pack_at_least", "parse_graph", "path", "prescribed_instance",
-    "product_witness_family", "product_witness_graph", "run_all",
+    "product_witness", "product_witness_family", "product_witness_graph",
+    "run_all", "run_suite",
     "sample_graph", "sample_graphs", "serialize_graph", "serialize_reports",
     "star", "suite_construction", "suite_formulas", "suite_inequalities",
     "suite_linegraph", "terminal_set", "upper_bound", "verify_family",

@@ -11,9 +11,9 @@ import os
 
 _forced = os.environ.get("PATHCONN_BACKEND", "").strip().lower()
 
-if _forced in ("pure", "python"):
+if _forced == "pure":
     from . import _pure as impl
-elif _forced in ("compiled", "cython", "kernel"):
+elif _forced == "compiled":
     from . import _kernel as impl  # type: ignore[attr-defined]
 elif _forced:
     raise RuntimeError(f"unknown PATHCONN_BACKEND value {_forced!r}")

@@ -17,11 +17,9 @@ from .invariants import k_connectivity_cut
 from .steiner import (EXACT, KAPPA, LAMBDA, OMEGA, PI, ZERO,
                       global_connectivity, local_connectivity, terminal_set)
 from .suites import (SUITE_NAMES, exit_code, render_reports, run_all,
-                     serialize_reports, suite_construction, suite_formulas,
-                     suite_inequalities, suite_linegraph)
+                     run_suite, serialize_reports)
 from .transforms import cartesian_product, line_graph
-from .witness import (_cached_product, _check_product_params, classify_triple,
-                      family_violations, product_witness_family)
+from .witness import product_witness, product_witness_graph
 
 _PARAMS = {"pi": PI, "omega": OMEGA, "kappa": KAPPA, "lambda": LAMBDA}
 
@@ -132,15 +130,11 @@ def _cmd_compute(args) -> int:
 
 
 def _witness_record(p: int, q: int, s) -> dict:
-    fam = product_witness_family(p, q, s, check=False)
-    g = _cached_product(p, q)
-    problems = family_violations(g, s, fam, PI)
+    w = product_witness(p, q, s)
     return {
-        "p": p, "q": q, "set": list(s),
-        "case": classify_triple(p, q, s),
-        "family": [list(mem) for mem in fam],
-        "valid": not problems and len(fam) == q,
-        "violations": problems,
+        "p": p, "q": q, "set": list(s), "case": w.case,
+        "family": [list(mem) for mem in w.family],
+        "valid": not w.problems, "violations": list(w.problems),
     }
 
 
@@ -160,11 +154,9 @@ def _cmd_witness(args) -> int:
             _emit("\n".join(lines) + "\n", args.output)
         return 0 if rec["valid"] else 1
 
-    rows, cols = _check_product_params(p, q)
-    nverts = rows * cols
     total = 0
     cases: dict[str, int] = {}
-    for s in combinations(range(nverts), 3):
+    for s in combinations(range(product_witness_graph(p, q).graph.n), 3):
         rec = _witness_record(p, q, s)
         total += 1
         cases[rec["case"]] = cases.get(rec["case"], 0) + 1
@@ -195,25 +187,11 @@ def _cmd_verify(args) -> int:
                          "whose random graphs have at least 4 vertices")
     if args.count is not None and args.count < 0:
         raise InputError("--count must be >= 0")
-    max_n = 7 if args.max_n is None else args.max_n
-    # an absent --budget-ms keeps the suite's own default
-    budget = {} if args.budget_ms is None else {"budget_ms": args.budget_ms}
-    if args.suite == "all":
-        reports = run_all(seed=args.seed, count=args.count, max_n=args.max_n,
-                          budget_ms=args.budget_ms)
-    elif args.suite == "formulas":
-        reports = [suite_formulas(max_n=max_n)]
-    elif args.suite == "inequalities":
-        count = 200 if args.count is None else args.count
-        reports = [suite_inequalities(seed=args.seed, count=count,
-                                      n_max=min(max_n, 7))]
-    elif args.suite == "line":
-        count = 50 if args.count is None else args.count
-        reports = [suite_linegraph(seed=args.seed, count=count, **budget)]
-    elif args.suite == "construction":
-        reports = [suite_construction(seed=args.seed, **budget)]
-    else:
-        raise InputError(f"unknown suite {args.suite!r}")
+    # an absent option keeps the suite's own default
+    opts = {"seed": args.seed, "count": args.count, "max_n": args.max_n,
+            "budget_ms": args.budget_ms}
+    reports = (run_all(**opts) if args.suite == "all"
+               else [run_suite(args.suite, **opts)])
     text = serialize_reports(reports) if args.json else render_reports(reports)
     _emit(text, args.output)
     return exit_code(reports)

@@ -31,15 +31,11 @@ from .invariants import connectivity, edge_connectivity, k_connectivity_cut, min
 from .random_graphs import RandomGraphSpec, sample_graph
 from .steiner import (
     KAPPA, LAMBDA, OMEGA, PI, EXACT,
-    complete_graph_value, global_at_least, global_connectivity, pack_at_least,
-    upper_bound,
+    complete_graph_value, global_at_least, global_connectivity, upper_bound,
 )
 from .transforms import line_graph, natural_iso_check
-from .witness import (
-    classify_triple, complete_graph_witness, family_violations,
-    prescribed_instance, product_witness_family, product_witness_graph,
-    verify_family,
-)
+from .witness import (complete_graph_witness, prescribed_instance,
+                      product_witness, verify_family)
 
 PASS = "pass"
 FAIL = "fail"
@@ -147,8 +143,8 @@ def _one_sided(report: SuiteReport, claim: str, inst: str, relation: str,
 # ---------------------------------------------------------------------------
 # formulas
 
-def suite_formulas(max_n: int = 7, seed: int = 0) -> SuiteReport:
-    rep = SuiteReport("formulas", seed, {"max_n": max_n})
+def suite_formulas(max_n: int = 7) -> SuiteReport:
+    rep = SuiteReport("formulas", 0, {"max_n": max_n})
 
     for n in range(3, max_n + 1):
         for k in range(3, n + 1):
@@ -201,6 +197,7 @@ def suite_formulas(max_n: int = 7, seed: int = 0) -> SuiteReport:
 
 _BOUND_KS = (3, 4)
 _INEQ_MIN_N = 4  # the fewest vertices of a sampled graph
+_INEQ_MAX_N = 7  # the most, by default
 
 
 def _check_graph_inequalities(rep: SuiteReport, g: Graph, inst: str) -> None:
@@ -303,8 +300,8 @@ def _check_min_n(name: str, value: int) -> None:
                          f"suite's random graphs, got {value}")
 
 
-def suite_inequalities(seed: int = 1, count: int = 200, n_max: int = 7,
-                       m_max: int = 12) -> SuiteReport:
+def suite_inequalities(seed: int = 1, count: int = 200,
+                       n_max: int = _INEQ_MAX_N, m_max: int = 12) -> SuiteReport:
     _check_min_n("n_max", n_max)
     rep = SuiteReport("inequalities", seed,
                       {"count": count, "n_max": n_max, "m_max": m_max})
@@ -481,8 +478,7 @@ def suite_construction(seed: int = 1, pairs=((2, 3), (2, 4), (3, 5)),
                     "L(K_a,b) coincides with K_a x K_b under index labels",
                     "checked", natural_iso_check(rows, cols))
 
-        lg = product_witness_graph(p, q)
-        nverts = lg.graph.n
+        nverts = rows * cols
         if nverts <= 16:
             triples = list(combinations(range(nverts), 3))
         else:
@@ -494,15 +490,12 @@ def suite_construction(seed: int = 1, pairs=((2, 3), (2, 4), (3, 5)),
         cases = {}
         first_bad = ""
         for s in triples:
-            fam = product_witness_family(p, q, s, check=False)
-            label = classify_triple(p, q, s)
-            cases[label] = cases.get(label, 0) + 1
-            problems = (family_violations(lg.graph, s, fam, PI)
-                        if len(fam) == q else [f"size {len(fam)} != {q}"])
-            if problems:
+            w = product_witness(p, q, s)
+            cases[w.case] = cases.get(w.case, 0) + 1
+            if w.problems:
                 bad += 1
                 if not first_bad:
-                    first_bad = f" first={s}:{problems[0]}"
+                    first_bad = f" first={s}:{w.problems[0]}"
         case_txt = ",".join(f"{k}:{v}" for k, v in sorted(cases.items()))
         rep.require("product-witness-families", inst,
                     "every sampled triple gets q verified disjoint paths",
@@ -515,40 +508,31 @@ def suite_construction(seed: int = 1, pairs=((2, 3), (2, 4), (3, 5)),
             base_budget = None
         else:
             base_budget = _CONSTRUCTION_BUDGET_MS if budget_ms is None else budget_ms
-        instd = prescribed_instance(p, q, refute=False,
+        instd = prescribed_instance(p, q, budget_ms=budget_ms,
                                     base_budget_ms=base_budget)
-        rep.units += instd.base_result.units
-        if instd.base_result.status == EXACT:
+        base, ref = instd.base_result, instd.refutation
+        rep.units += base.units + ref.units
+        if base.status == EXACT:
             rep.require("prescribed-base-value", inst,
                         "bipartite base triple path value == p exactly",
-                        f"value={instd.base_result.value} status=exact",
-                        instd.base_result.value == p)
+                        f"value={base.value} status=exact", base.value == p)
         else:
             rep.record("prescribed-base-value", inst,
                        "bipartite base triple path value == p exactly",
-                       f"lower-bound={instd.base_result.value} (budget-capped)",
-                       INCONCLUSIVE if instd.base_result.value <= p else FAIL)
+                       f"lower-bound={base.value} (budget-capped)",
+                       INCONCLUSIVE if base.value <= p else FAIL)
         cert = instd.line_certificate
         rep.require("prescribed-line-certificate", inst,
                     "line graph carries a verified q-path lower bound",
                     f"terminals={cert.terminals} size={cert.value}",
-                    cert.value == q and verify_family(
-                        lg.graph, cert.terminals, cert.family, PI))
+                    not instd.line_problems)
 
-        # optimality probe: the constructed family proves >= q at the
-        # triple; ask whether q + 1 disjoint paths also fit.  Either
-        # definite answer is a sound outcome ("yes" just means the
-        # construction is a strict lower bound there), so only an
-        # unverifiable yes-certificate can fail this check.
-        ref = pack_at_least(lg.graph, cert.terminals, q + 1, PI,
-                            budget_ms=budget_ms)
-        rep.units += ref.units
+        # either definite answer of the q + 1 probe is sound ("yes" makes
+        # the family a strict lower bound), so only an unverifiable yes fails
         relation = ("probe whether q+1 disjoint paths fit at the certified "
                     "triple; a yes must carry an independently verified family")
         if ref.answer == "yes":
-            extra = ref.certificate.family if ref.certificate else ()
-            sound = len(extra) > q and not family_violations(
-                lg.graph, cert.terminals, extra, PI)
+            sound = not instd.refutation_problems
             rep.record("prescribed-refutation", inst, relation,
                        f"answer=yes verified={sound} (local value exceeds q; "
                        "the family stays a valid lower bound)",
@@ -563,25 +547,41 @@ def suite_construction(seed: int = 1, pairs=((2, 3), (2, 4), (3, 5)),
 # ---------------------------------------------------------------------------
 # aggregation and serialization
 
+def run_suite(name: str, seed: int = 1, count: int | None = None,
+              max_n: int | None = None,
+              budget_ms: int | None = None) -> SuiteReport:
+    """One suite under the options of `pathconn verify`.
+
+    count is the sampled suites' graph count.  max_n is the formulas
+    suite's largest K_n, and caps the inequality suite's graphs, which
+    never exceed that suite's default size.  The line and construction
+    suites read budget_ms.  An option left None keeps the suite's default.
+    """
+    def given(**opts):
+        return {key: val for key, val in opts.items() if val is not None}
+
+    if name == "formulas":
+        return suite_formulas(**given(max_n=max_n))
+    if name == "inequalities":
+        n_max = None if max_n is None else min(max_n, _INEQ_MAX_N)
+        return suite_inequalities(seed, **given(count=count, n_max=n_max))
+    if name == "line":
+        return suite_linegraph(seed, **given(count=count, budget_ms=budget_ms))
+    if name == "construction":
+        return suite_construction(seed, **given(budget_ms=budget_ms))
+    raise InputError(f"unknown suite {name!r}")
+
+
 def run_all(seed: int = 1, count: int | None = None, max_n: int | None = None,
             budget_ms: int | None = None) -> list[SuiteReport]:
-    """All four suites at their documented default scales.
-
-    count scales the sampled suites: the inequality suite uses count
-    directly (default 200), the line suite a quarter of it (default 50).
-    budget_ms None keeps each suite's default budget.
-    """
-    top_n = 7 if max_n is None else max_n
-    _check_min_n("max_n", top_n)
-    n_ineq = 200 if count is None else count
-    n_line = 50 if count is None else count // 4
-    budget = {} if budget_ms is None else {"budget_ms": budget_ms}
-    return [
-        suite_formulas(max_n=top_n),
-        suite_inequalities(seed=seed, count=n_ineq, n_max=min(top_n, 7)),
-        suite_linegraph(seed=seed, count=n_line, **budget),
-        suite_construction(seed=seed, **budget),
-    ]
+    """All four suites, with the options of run_suite, except that the
+    line suite gets a quarter of count (default 50, against the
+    inequality suite's 200)."""
+    if max_n is not None:
+        _check_min_n("max_n", max_n)
+    line_count = None if count is None else count // 4
+    return [run_suite(name, seed, line_count if name == "line" else count,
+                      max_n, budget_ms) for name in SUITE_NAMES]
 
 
 def reports_to_dict(reports: list[SuiteReport]) -> dict:

@@ -2,9 +2,11 @@
 
 The product construction targets K_R x K_C with R = 2p and C = 2q - 2p + 2
 (both even, q = (R + C - 2) / 2) and produces, for any terminal triple,
-exactly q internally disjoint terminal paths.  Cases are split by how many
-rows/columns the triple occupies; column-heavy configurations are handled
-by transposing, building in the transposed grid, and mapping back.
+exactly q internally disjoint terminal paths.  One table, _CASES, maps the
+triple's shape (how many rows and columns it occupies) to its case and
+builder; column-heavy shapes build in the transposed grid and map back.
+product_witness builds a family and checks it, and prescribed_instance
+always runs its optimality probe; both report what fails, never raise it.
 
 verify_family is deliberately naive (set arithmetic on vertices and edges,
 no bitmasks, no shared code with the solvers) so it can vouch for solver
@@ -19,7 +21,7 @@ from itertools import combinations
 
 from .graphs import Graph, InputError, canon_edge, complete, complete_bipartite
 from .steiner import (
-    KAPPA, LAMBDA, OMEGA, PI, GlobalResult, PackDecision, PackingCertificate,
+    KAPPA, LAMBDA, PI, GlobalResult, PackDecision, PackingCertificate,
     LOWER_BOUND, global_connectivity, local_upper_bound, pack_at_least,
     terminal_set,
 )
@@ -179,59 +181,67 @@ def _cached_product(p: int, q: int) -> Graph:
     return product_witness_graph(p, q).graph
 
 
-def product_witness_family(p: int, q: int, s, check: bool = True) -> tuple[tuple[int, ...], ...]:
-    """q internally disjoint terminal paths for any triple in K_{2p} x K_{2q-2p+2}."""
+@dataclass(frozen=True)
+class ProductWitness:
+    """The constructed family at one triple of K_{2p} x K_{2q-2p+2}.
+
+    case names the construction case that built it.  problems lists every
+    reason the family is not q internally disjoint terminal paths (a wrong
+    size first, then the checker's findings); it is empty when it is.
+    """
+
+    case: str
+    family: tuple[tuple[int, ...], ...]
+    problems: tuple[str, ...]
+
+
+def _product_triple(p: int, q: int, s):
+    """The product's grid, the validated triple and its coordinates."""
     rows, cols = _check_product_params(p, q)
     grid = ProductCoordinates(rows, cols)
-    g = _cached_product(p, q)
-    s = terminal_set(g, s)
+    s = terminal_set(_cached_product(p, q), s)
     if len(s) != 3:
-        raise InputError("product_witness_family needs exactly three terminals")
-    trip = [grid.coords(v) for v in s]
-    fam_coords = _product_family(rows, cols, trip)
-    fam = tuple(tuple(grid.flat(r, c) for r, c in pathc) for pathc in fam_coords)
-    if len(fam) != q:
-        raise AssertionError(f"constructed {len(fam)} paths, expected {q}")
-    if check:
-        problems = family_violations(g, s, fam, PI)
-        if problems:
-            raise AssertionError(f"invalid constructed family: {problems[:3]}")
-    return fam
+        raise InputError("product construction needs exactly three terminals")
+    return grid, s, [grid.coords(v) for v in s]
+
+
+def product_witness(p: int, q: int, s) -> ProductWitness:
+    """Build the family at the triple s and check it; a defective family is
+    reported in problems, never raised."""
+    grid, s, trip = _product_triple(p, q, s)
+    fam = tuple(tuple(grid.flat(r, c) for r, c in pathc)
+                for pathc in _product_family(grid.rows, grid.cols, trip))
+    problems = [] if len(fam) == q else [f"size {len(fam)} != {q}"]
+    problems += family_violations(_cached_product(p, q), s, fam, PI)
+    return ProductWitness(_case(trip)[0], fam, tuple(problems))
+
+
+def product_witness_family(p: int, q: int, s) -> tuple[tuple[int, ...], ...]:
+    """q internally disjoint terminal paths for any triple in K_{2p} x K_{2q-2p+2}
+    (AssertionError if the constructed family fails its check)."""
+    w = product_witness(p, q, s)
+    if w.problems:
+        raise AssertionError(f"invalid constructed family: {w.problems[:3]}")
+    return w.family
 
 
 def classify_triple(p: int, q: int, s) -> str:
     """Which construction case handles the triple (for reporting)."""
-    rows, cols = _check_product_params(p, q)
-    grid = ProductCoordinates(rows, cols)
-    trip = [grid.coords(v) for v in terminal_set(_cached_product(p, q), s)]
-    rset = {r for r, _ in trip}
-    cset = {c for _, c in trip}
-    if len(rset) == 1:
-        return "one-row"
-    if len(cset) == 1:
-        return "one-column"
-    if len(rset) == 3 and len(cset) == 3:
-        return "rows-and-columns-distinct"
-    if len(rset) == 2:
-        return "shared-row-stacked" if len(cset) == 2 else "shared-row"
-    return "shared-column"
+    return _case(_product_triple(p, q, s)[2])[0]
+
+
+def _case(trip):
+    """The _CASES entry of the triple's shape."""
+    return _CASES[len({r for r, _ in trip}), len({c for _, c in trip})]
 
 
 def _product_family(rows, cols, trip):
-    rset = {r for r, _ in trip}
-    cset = {c for _, c in trip}
-    if len(rset) == 1:
-        return _one_row(rows, cols, trip)
-    if len(cset) == 1:
-        return [[(r, c) for c, r in pathc]
-                for pathc in _one_row(cols, rows, [(c, r) for r, c in trip])]
-    if len(rset) == 3 and len(cset) == 3:
-        return _all_distinct(rows, cols, trip)
-    if len(rset) == 2:
-        return _shared_row(rows, cols, trip)
-    # two terminals share a column: build in the transposed grid
+    """Coordinate paths from the builder of the triple's case."""
+    _, build, transposed = _case(trip)
+    if not transposed:
+        return build(rows, cols, trip)
     return [[(r, c) for c, r in pathc]
-            for pathc in _shared_row(cols, rows, [(c, r) for r, c in trip])]
+            for pathc in build(cols, rows, [(c, r) for r, c in trip])]
 
 
 def _free(total, used):
@@ -260,25 +270,16 @@ def _all_distinct(rows, cols, trip):
     return fam
 
 
-def _shared_row(rows, cols, trip):
-    """Exactly two terminals in one row."""
-    by_row = {}
-    for rc in trip:
-        by_row.setdefault(rc[0], []).append(rc)
-    (r1, pair), = ((r, v) for r, v in by_row.items() if len(v) == 2)
-    (z,) = (rc for rc in trip if rc[0] != r1)
-    r2, cz = z
-    pair.sort(key=lambda rc: rc[1])
-    if cz in (pair[0][1], pair[1][1]):
-        x = pair[0] if pair[0][1] == cz else pair[1]
-        y = pair[1] if x is pair[0] else pair[0]
-        return _shared_row_stacked(rows, cols, x, y, z)
-    x, y = pair
-    return _shared_row_fresh(rows, cols, x, y, z)
+def _row_pair(trip):
+    """The two terminals that share a row (by column), and the third."""
+    rows = [r for r, _ in trip]
+    (z,) = (rc for rc in trip if rows.count(rc[0]) == 1)
+    return sorted((rc for rc in trip if rc != z), key=lambda rc: rc[1]), z
 
 
-def _shared_row_fresh(rows, cols, x, y, z):
+def _shared_row_fresh(rows, cols, trip):
     """x, y in row r1; z in a fresh row and a fresh column."""
+    (x, y), z = _row_pair(trip)
     r1, cx = x
     _, cy = y
     r2, cz = z
@@ -297,8 +298,11 @@ def _shared_row_fresh(rows, cols, x, y, z):
     return fam
 
 
-def _shared_row_stacked(rows, cols, x, y, z):
+def _shared_row_stacked(rows, cols, trip):
     """x, y in row r1; z directly below x (same column)."""
+    (x, y), z = _row_pair(trip)
+    if y[1] == z[1]:
+        x, y = y, x
     r1, c1 = x
     _, c2 = y
     r2, _ = z
@@ -348,6 +352,19 @@ def _one_row(rows, cols, trip):
     return fam
 
 
+# A triple's shape (distinct rows, distinct columns) -> its case label, its
+# builder, and whether the builder runs in the transposed grid.  Three
+# distinct cells of a grid take one of these six shapes.
+_CASES = {
+    (1, 3): ("one-row", _one_row, False),
+    (3, 1): ("one-column", _one_row, True),
+    (3, 3): ("rows-and-columns-distinct", _all_distinct, False),
+    (2, 3): ("shared-row", _shared_row_fresh, False),
+    (2, 2): ("shared-row-stacked", _shared_row_stacked, False),
+    (3, 2): ("shared-column", _shared_row_fresh, True),
+}
+
+
 # ---------------------------------------------------------------------------
 # line graph instance with prescribed values
 
@@ -359,59 +376,54 @@ class PrescribedInstance:
     line graph (identical to the product K_{2p} x K_{2q-2p+2} under the
     index-preserving correspondence) carries a constructed family of q
     internally disjoint paths at a solver-chosen triple.  The gap q - p is
-    therefore certified as at least prescribed.
+    therefore certified as at least prescribed, unless line_problems lists
+    why that family fails its check.
 
-    refutation, when requested, is an optimality probe at that same triple:
-    answer "no" pins the local value to exactly q, answer "yes" (always
-    re-checked against the independent verifier before being returned)
-    shows the local value exceeds q so the constructed family is a strict
-    lower bound there, and "unknown" means the work budget expired first.
+    refutation is the optimality probe at that same triple: answer "no"
+    pins the local value to exactly q, "yes" shows that it exceeds q (the
+    family is a strict lower bound there), and "unknown" means the work
+    budget expired first.  refutation_problems lists why a "yes" family is
+    not more than q verified disjoint paths, which only a solver defect can
+    cause; it is empty for a sound "yes" and for the other answers.
     """
 
     base: Graph
     base_result: GlobalResult
     line: LabeledGraph
     line_certificate: PackingCertificate
-    refutation: PackDecision | None
+    line_problems: tuple[str, ...]
+    refutation: PackDecision
+    refutation_problems: tuple[str, ...]
 
 
 def prescribed_instance(p: int, q: int, budget_ms: int | None = 60_000,
-                        refute: bool = True,
                         base_budget_ms: int | None = None) -> PrescribedInstance:
     """Build the instance, certify both values, and probe the q upper bound.
 
-    The refutation step asks whether q + 1 disjoint paths exist at the
-    chosen triple; "no" confirms the constructed family is optimal there,
-    "unknown" is acceptable within the budget, and "yes" means the solver
-    found a strictly larger family, so the construction is a lower bound
-    but not the local optimum.  A "yes" certificate is re-verified with
-    the independent checker and an invalid one raises, since that can only
-    be a solver defect.  base_budget_ms caps the exact solve on the
-    bipartite base (needed beyond 10 base vertices, where the result
-    degrades to a lower-bound certificate).
+    The probe always runs, at budget_ms: it asks whether q + 1 disjoint
+    paths fit at the chosen triple.  A defective family or an unverifiable
+    "yes" is reported in the instance's problem lists, never raised.
+    base_budget_ms caps the exact solve on the bipartite base (needed
+    beyond 10 base vertices, where the result degrades to a lower-bound
+    certificate).
     """
     rows, cols = _check_product_params(p, q)
     base = complete_bipartite(rows, cols)
     base_result = global_connectivity(base, 3, PI, budget_ms=base_budget_ms)
     line = line_graph(base)
-    prod = _cached_product(p, q)
-    if line.graph != prod:
-        raise AssertionError("line graph does not match the product layout")
     lg = line.graph
+    if lg != _cached_product(p, q):
+        raise AssertionError("line graph does not match the product layout")
     s_star = min(combinations(range(lg.n), 3),
                  key=lambda s: (local_upper_bound(lg, s, PI), s))
-    fam = product_witness_family(p, q, s_star)
-    cert = PackingCertificate(PI, s_star, fam, LOWER_BOUND)
-    refutation = None
-    if refute:
-        refutation = pack_at_least(lg, s_star, q + 1, PI, budget_ms=budget_ms)
-        if refutation.answer == "yes":
-            extra = refutation.certificate
-            if extra is None or len(extra.family) <= q:
-                problems = ["missing or undersized certificate"]
-            else:
-                problems = family_violations(lg, s_star, extra.family, PI)
-            if problems:
-                raise AssertionError(
-                    f"unverifiable {q + 1}-path packing at {s_star}: {problems[0]}")
-    return PrescribedInstance(base, base_result, line, cert, refutation)
+    witness = product_witness(p, q, s_star)
+    cert = PackingCertificate(PI, s_star, witness.family, LOWER_BOUND)
+    refutation = pack_at_least(lg, s_star, q + 1, PI, budget_ms=budget_ms)
+    refutation_problems = []
+    if refutation.answer == "yes":
+        extra = refutation.certificate.family if refutation.certificate else ()
+        if len(extra) <= q:
+            refutation_problems.append(f"size {len(extra)} <= {q}")
+        refutation_problems += family_violations(lg, s_star, extra, PI)
+    return PrescribedInstance(base, base_result, line, cert, witness.problems,
+                              refutation, tuple(refutation_problems))

@@ -111,7 +111,7 @@ def test_criterion_06_product_witness_families(scorecard):
                 seen.add(tuple(sorted(rng.sample(range(g.n), 3))))
             triples = sorted(seen)
         for s in triples:
-            fam = product_witness_family(p, q, s, check=False)
+            fam = product_witness_family(p, q, s)
             if len(fam) != q or not verify_family(g, s, fam, PI):
                 bad += 1
         totals[(p, q)] = len(triples)

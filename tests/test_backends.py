@@ -109,9 +109,10 @@ def test_environment_variable_selects_backend():
 
 
 def test_unknown_backend_value_is_rejected():
-    code, _, err = _backend_of("turbo")
-    assert code != 0
-    assert "PATHCONN_BACKEND" in err
+    for value in ("turbo", "python", "cython", "kernel"):
+        code, _, err = _backend_of(value)
+        assert code != 0, value
+        assert "PATHCONN_BACKEND" in err
 
 
 def test_solver_results_identical_across_backends():

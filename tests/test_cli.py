@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import pathconn.witness as witness
 from pathconn.cli import main
 from pathconn.graphs import complete, net, parse_graph
 
@@ -106,6 +107,17 @@ def test_witness_single_triple(capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["case"] == "rows-and-columns-distinct"
     assert rec["valid"] and len(rec["family"]) == 3
+
+
+def test_witness_reports_a_defective_family(monkeypatch, capsys):
+    real = witness._product_family
+    monkeypatch.setattr(witness, "_product_family",
+                        lambda rows, cols, trip: real(rows, cols, trip)[:-1])
+    assert main(["witness", "--p", "2", "--q", "3", "--set", "0,5,10",
+                 "--json"]) == 1
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["valid"] is False and rec["violations"] == ["size 2 != 3"]
+    assert len(rec["family"]) == 2
 
 
 def test_witness_requires_set_or_all(capsys):

@@ -3,8 +3,10 @@ import json
 import pytest
 
 import pathconn.suites as suites
+import pathconn.witness as witness
 from pathconn.graphs import InputError
-from pathconn.steiner import EXACT, LOWER_BOUND, GlobalResult
+from pathconn.steiner import (EXACT, LOWER_BOUND, GlobalResult, PackDecision,
+                              PackingCertificate)
 from pathconn.suites import (
     FAIL, INCONCLUSIVE, PASS, CheckResult, SuiteReport, exit_code,
     render_reports, reports_to_dict, run_all, serialize_reports,
@@ -158,14 +160,39 @@ def test_capped_values_are_inconclusive_never_failed():
     assert sum(r.units for r in reports) == len(calls)
 
 
-def test_corrupted_checker_is_caught():
+def test_corrupted_checker_is_caught(monkeypatch):
     """A verifier that rejects everything must fail the construction suite."""
-    real = suites.family_violations
-
-    suites.family_violations = lambda g, s, fam, variant: ["injected defect"]
-    try:
-        rep = suite_construction(seed=5, pairs=((2, 3),), sample=10,
-                                 budget_ms=2_000)
-    finally:
-        suites.family_violations = real
+    monkeypatch.setattr(witness, "family_violations",
+                        lambda g, s, fam, variant: ["injected defect"])
+    rep = suite_construction(seed=5, pairs=((2, 3),), sample=10,
+                             budget_ms=2_000)
     assert rep.failed >= 1
+
+
+def test_defective_construction_is_a_failed_check(monkeypatch):
+    """A builder that drops a path gives fail records, not an exception."""
+    real = witness._product_family
+    monkeypatch.setattr(witness, "_product_family",
+                        lambda rows, cols, trip: real(rows, cols, trip)[:-1])
+    rep = suite_construction(seed=5, pairs=((2, 3),), sample=10,
+                             budget_ms=100)
+    verdicts = {c.claim: c for c in rep.checks}
+    fams = verdicts["product-witness-families"]
+    assert fams.verdict == FAIL and "failures=560" in fams.observed
+    assert "size 2 != 3" in fams.observed
+    assert verdicts["prescribed-line-certificate"].verdict == FAIL
+
+
+def test_unsound_probe_answer_is_a_failed_check(monkeypatch):
+    """A "yes" whose family does not verify fails prescribed-refutation."""
+    def bogus(g, s, t, variant, budget_ms=None):
+        fam = tuple(tuple(s) for _ in range(t))  # t copies of one path
+        return PackDecision("yes", PackingCertificate(variant, s, fam,
+                                                      LOWER_BOUND), 1)
+
+    monkeypatch.setattr(witness, "pack_at_least", bogus)
+    rep = suite_construction(seed=5, pairs=((2, 3),), sample=10,
+                             budget_ms=100)
+    (ref,) = [c for c in rep.checks if c.claim == "prescribed-refutation"]
+    assert ref.verdict == FAIL
+    assert ref.observed.startswith("answer=yes verified=False")

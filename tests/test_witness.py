@@ -3,12 +3,14 @@ from itertools import combinations
 
 import pytest
 
+import pathconn.witness as witness
 from pathconn.graphs import InputError, complete, cycle, path
-from pathconn.steiner import EXACT, KAPPA, LAMBDA, OMEGA, PI
+from pathconn.steiner import (EXACT, KAPPA, LAMBDA, LOWER_BOUND, OMEGA, PI,
+                              PackDecision, PackingCertificate)
 from pathconn.witness import (
     ProductCoordinates, classify_triple, complete_graph_witness,
-    family_violations, prescribed_instance, product_witness_family,
-    product_witness_graph, verify_family,
+    family_violations, prescribed_instance, product_witness,
+    product_witness_family, product_witness_graph, verify_family,
 )
 
 CASES = (
@@ -119,7 +121,7 @@ def test_product_families_exhaustive_at_smallest_size():
     g = product_witness_graph(2, 3).graph
     seen = {}
     for s in combinations(range(16), 3):
-        fam = product_witness_family(2, 3, s, check=False)
+        fam = product_witness_family(2, 3, s)
         assert len(fam) == 3
         assert verify_family(g, s, fam, PI), s
         seen[classify_triple(2, 3, s)] = seen.get(classify_triple(2, 3, s), 0) + 1
@@ -133,7 +135,7 @@ def test_product_families_sampled_at_larger_sizes():
         g = product_witness_graph(p, q).graph
         for _ in range(120):
             s = tuple(sorted(rng.sample(range(g.n), 3)))
-            fam = product_witness_family(p, q, s, check=False)
+            fam = product_witness_family(p, q, s)
             assert len(fam) == q
             assert verify_family(g, s, fam, PI), (p, q, s)
 
@@ -158,7 +160,7 @@ def test_prescribed_instance_end_to_end():
     cert = inst.line_certificate
     assert len(cert.family) == 3
     assert verify_family(inst.line.graph, cert.terminals, cert.family, PI)
-    assert inst.refutation is not None
+    assert inst.line_problems == ()
     assert inst.refutation.answer in ("no", "unknown", "yes")
 
 
@@ -173,8 +175,35 @@ def test_prescribed_instance_probe_resolves_with_larger_budget():
     assert len(fam) == 4
     assert verify_family(inst.line.graph, inst.line_certificate.terminals,
                          fam, PI)
+    assert inst.refutation_problems == ()
 
 
-def test_prescribed_instance_can_skip_refutation():
-    inst = prescribed_instance(2, 3, refute=False)
-    assert inst.refutation is None
+def _drop_last_path(monkeypatch):
+    real = witness._product_family
+    monkeypatch.setattr(witness, "_product_family",
+                        lambda rows, cols, trip: real(rows, cols, trip)[:-1])
+
+
+def test_defective_family_is_reported_not_raised(monkeypatch):
+    _drop_last_path(monkeypatch)
+    w = product_witness(2, 3, (0, 5, 10))
+    assert w.case == "rows-and-columns-distinct"
+    assert len(w.family) == 2 and w.problems == ("size 2 != 3",)
+    # the raising entry point keeps its contract
+    with pytest.raises(AssertionError, match="size 2 != 3"):
+        product_witness_family(2, 3, (0, 5, 10))
+    inst = prescribed_instance(2, 3, budget_ms=0)
+    assert inst.line_problems == ("size 2 != 3",)
+
+
+def test_unsound_probe_answer_is_reported_not_raised(monkeypatch):
+    def bogus(g, s, t, variant, budget_ms=None):
+        fam = tuple(tuple(s) for _ in range(t))  # t copies of one path
+        return PackDecision("yes", PackingCertificate(variant, s, fam,
+                                                      LOWER_BOUND), 1)
+
+    monkeypatch.setattr(witness, "pack_at_least", bogus)
+    inst = prescribed_instance(2, 3, budget_ms=0)
+    assert inst.refutation.answer == "yes"
+    assert any("share edges" in p for p in inst.refutation_problems)
+    assert inst.line_problems == ()

@@ -16,24 +16,35 @@ import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
+from setuptools.errors import (CCompilerError, CompileError, FileError, LinkError,
+                               PlatformError)
+
+# the errors of a missing or broken C toolchain; any other build error, such
+# as a missing source file or an unwritable target, still fails the build
+TOOLCHAIN_ERRORS = (CCompilerError, CompileError, LinkError, PlatformError)
 
 
 class OptionalBuildExt(build_ext):
-    """Build the extension if possible, otherwise install pure-Python only."""
+    """Build the extension if a C toolchain works, otherwise install
+    pure-Python only."""
 
     def run(self):
         try:
             super().run()
-        except Exception as exc:  # compiler or toolchain missing
+        except TOOLCHAIN_ERRORS as exc:
             print(f"warning: skipping compiled kernel ({exc}); "
                   "pure-Python backend will be used")
 
     def build_extension(self, ext):
+        missing = [name for name in ext.sources if not os.path.isfile(name)]
+        if missing:
+            raise FileError(f"{ext.name}: missing sources {missing}")
         try:
             super().build_extension(ext)
-        except Exception as exc:
+        except TOOLCHAIN_ERRORS as exc:
             print(f"warning: failed to compile {ext.name} ({exc}); "
                   "pure-Python backend will be used")
+            ext.optional = True  # nothing was built, so --inplace copies nothing
 
 
 def extensions():

@@ -14,12 +14,19 @@ The global value is the minimum of the local values over all k-subsets,
 with the usual conventions: k = 1 gives the minimum degree, a disconnected
 graph gives 0, and a connected graph with fewer than k vertices gives 1.
 
+Threshold questions (pack_at_least and the global scans' cheap attempts)
+at a triple of a path variant may be answered yes by a seeded residual
+two-path search (_residual_paths) once a short candidate list turns out
+to be cut by its cap; only a complete enumeration and pack answers no.
+
 Budgets are deterministic work units (see _pure); budget_ms is converted at
 a fixed rate so identical inputs give identical outputs on any machine.
 """
 
 from __future__ import annotations
 
+import heapq
+import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -266,30 +273,215 @@ def enumerate_minimal_strees(g: Graph, s, *, budget_ms: int | None = None):
     return tuple(trees), not complete
 
 
+def _candidates(g: Graph, s, variant, pool: WorkBudget, cap: int):
+    """At most cap candidates for s, charged to pool: (cands, complete)."""
+    cands, complete, units = _enumerate(g, _smask(s), _TREE[variant], cap, pool.left)
+    pool.charge(units)
+    return cands, complete
+
+
+def _pack(g: Graph, eid, s, variant, pool: WorkBudget, cands, enum_complete: bool,
+          target: int, decide: bool):
+    """Pack listed candidates toward target with what pool has left.
+
+    decide selects decision mode, which prunes every branch that cannot
+    reach target.  Returns (family, proven): proven means that the listing
+    was complete and the pack ran to the end without reaching target
+    first, so family is a largest family (exact mode) or no family reaches
+    target (decision mode).
+    """
+    if not cands:
+        return (), enum_complete
+    k = len(s)
+    _, sel, pack_complete, units = impl.solve_pack(
+        g.n, g.m, eid, cands, _TREE[variant], _smask(s), _INTERNAL[variant],
+        _slots_per(k, variant), k // 2, [g.degree(v) for v in s],
+        target, decide, max(pool.left, 0))
+    pool.charge(units)
+    return tuple(cands[i] for i in sel), pack_complete and enum_complete
+
+
 def _enumerate_and_pack(g: Graph, eid, s, variant, pool: WorkBudget,
                         target: int, decide: bool, cap: int = DEFAULT_CAP):
     """Enumerate at most cap candidates for s, then pack them toward target.
 
     Both stages are charged to pool; the pack gets what enumeration left.
-    decide selects decision mode, which prunes every branch that cannot
-    reach target.  Returns (family, enum_complete, proven): proven means
-    that enumeration and pack both ran to the end without reaching target
-    first, so family is a largest family (exact mode) or no family reaches
-    target (decision mode).
+    Returns (family, enum_complete, proven), with proven as in _pack.
     """
+    cands, enum_complete = _candidates(g, s, variant, pool, cap)
+    family, proven = _pack(g, eid, s, variant, pool, cands, enum_complete,
+                           target, decide)
+    return family, enum_complete, proven
+
+
+_SHORT_CAP = 256  # candidates a threshold question lists before looking further
+_RESIDUAL_DRAWS = 3  # weight draws the residual search tries
+
+
+def _residual_stage(s, variant) -> bool:
+    """Whether _residual_paths serves s: triples of the path variants."""
+    return len(s) == 3 and not _TREE[variant]
+
+
+def _residual_paths(g: Graph, s, goal: int, variant: str, pool: WorkBudget):
+    """Look for goal disjoint terminal paths at a triple s, one at a time.
+
+    Each round tries every terminal as the middle vertex and computes a
+    min-cost pair of internally disjoint paths from it to the other two
+    terminals (Suurballe & Tarjan, Networks 14, 1984); see _two_paths.
+    Non-terminal vertices carry random weights drawn from
+    random.Random(terminal mask).  The cheapest pair (the earliest middle
+    on ties), joined at its middle and oriented from its smaller endpoint,
+    becomes the next member; a middle's search stops early once its pair
+    cannot cost less than the cheapest so far in the round.  Then
+    pi blocks the member's non-terminal vertices and edges, omega its edges
+    only.  When a round finds no pair, the search starts over under fresh
+    weights, at most _RESIDUAL_DRAWS draws in all.
+
+    One work unit per arc scanned, charged to pool; the search stops as
+    soon as it has spent what pool holds.  Returns goal members, or () when
+    it stopped first: finding nothing proves nothing.
+    """
+    if pool.exhausted:
+        return ()
     smask = _smask(s)
-    tree = _TREE[variant]
-    cands, enum_complete, units = _enumerate(g, smask, tree, cap, pool.left)
-    pool.charge(units)
-    if not cands:
-        return (), enum_complete, enum_complete
-    k = len(s)
-    _, sel, pack_complete, units = impl.solve_pack(
-        g.n, g.m, eid, cands, tree, smask, _INTERNAL[variant],
-        _slots_per(k, variant), k // 2, [g.degree(v) for v in s],
-        target, decide, max(pool.left, 0))
-    pool.charge(units)
-    return tuple(cands[i] for i in sel), enum_complete, pack_complete and enum_complete
+    rng = random.Random(smask)
+    limit = pool.left
+    scanned = 0
+    try:
+        for _ in range(_RESIDUAL_DRAWS):
+            weight = [0 if (smask >> v) & 1 else rng.randint(1, g.n) for v in range(g.n)]
+            blocked_v = 0
+            blocked_e = set()
+            family = []
+            while len(family) < goal:
+                best = None
+                for mid in s:
+                    found, scanned = _two_paths(g, weight, mid, [t for t in s if t != mid],
+                                                blocked_v, blocked_e,
+                                                None if best is None else best[0],
+                                                scanned, limit)
+                    if scanned >= limit:
+                        return ()
+                    if found is not None:  # it costs less than best
+                        best = found
+                if best is None:
+                    break
+                path = best[1]
+                family.append(path if path[0] < path[-1] else path[::-1])
+                if _INTERNAL[variant]:
+                    blocked_v |= _smask(path) & ~smask
+                blocked_e.update(zip(path, path[1:]))
+                blocked_e.update(zip(path[1:], path))
+            if len(family) == goal:
+                return tuple(family)
+        return ()
+    finally:
+        pool.charge(scanned)
+
+
+def _two_paths(g: Graph, weight, mid, ends, blocked_v, blocked_e, beat, scanned, limit):
+    """Min-cost pair of internally disjoint paths from mid to both ends.
+
+    A two-unit min-cost flow by successive shortest paths (Dijkstra with
+    potentials, each run stopped at the sink) on the vertex-split graph,
+    which is never built.  Vertex u becomes in(u) = 2u and out(u) = 2u + 1,
+    joined by an arc of capacity 1 and cost weight[u]; edge u-y becomes the
+    arcs out(u) -> in(y) and out(y) -> in(u); a sink 2n is joined to in(e)
+    for both ends.  The flow leaves out(mid).  No arc enters mid or a
+    vertex of blocked_v, no arc follows a directed edge of blocked_e, and
+    an end leads only to the sink, so the two flow paths stop at different
+    ends.
+
+    beat, unless None, is the cost to undercut: the search gives up once
+    no pair can cost less.  scanned counts arcs looked at so far; the
+    search stops when it reaches limit.  Returns ((cost, path), scanned),
+    or (None, scanned) when no pair exists, none costs less than beat, or
+    the search stopped; path runs from one end through mid to the other.
+    """
+    adj = g.adj
+    sink = 2 * g.n
+    src = 2 * mid + 1
+    closed = blocked_v | (1 << mid)  # vertices no edge arc may enter
+    end_mask = (1 << ends[0]) | (1 << ends[1])
+    used = 0  # vertices whose split arc (the sink arc at an end) carries flow
+    into = [-1] * g.n  # into[y] = x when the arc out(x) -> in(y) carries flow
+    pot = [0] * (sink + 1)
+    # a distance d popped in the first round bounds the pair's cost below
+    # by 2d, as each of its paths costs at least the shortest; in the
+    # second, by floor + d, the first path's cost plus the second's (its
+    # reduced distance plus the first's cost)
+    floor = 0
+    for rnd in range(2):
+        dist = [None] * (sink + 1)
+        via = [-1] * (sink + 1)
+        dist[src] = 0
+        heap = [(0, src)]
+        while heap:
+            d, x = heapq.heappop(heap)
+            if beat is not None and floor + (2 - rnd) * d >= beat:
+                return None, scanned
+            if x == sink:
+                break
+            if d > dist[x]:
+                continue
+            u = x >> 1
+            if x & 1:  # out(u): the edge arcs, and back over u's split arc
+                nbrs = adj[u]
+                scanned += len(nbrs) + 1
+                steps = [(2 * y, 0) for y in nbrs
+                         if not (closed >> y) & 1 and into[y] != u
+                         and (u, y) not in blocked_e]
+                if (used >> u) & 1:
+                    steps.append((x - 1, -weight[u]))
+            else:  # in(u): the split or sink arc, and back over the edge arc in
+                scanned += 2
+                steps = []
+                if not (used >> u) & 1:
+                    steps.append((sink, 0) if (end_mask >> u) & 1 else (x + 1, weight[u]))
+                if into[u] >= 0:
+                    steps.append((2 * into[u] + 1, 0))
+            if scanned >= limit:
+                return None, limit
+            d += pot[x]
+            for y, c in steps:
+                nd = d + c - pot[y]
+                if dist[y] is None or nd < dist[y]:
+                    dist[y] = nd
+                    via[y] = x
+                    heapq.heappush(heap, (nd, y))
+        top = dist[sink]
+        if top is None:
+            return None, scanned
+        if not rnd:
+            floor = 2 * top
+            # the search stopped at the sink: capping every distance at the
+            # sink's makes the potentials for the second round, under which
+            # each reduced cost of the residual graph is nonnegative
+            pot = [top if d is None or d > top else d for d in dist]
+        added = []
+        y = sink
+        while y != src:
+            x = via[y]
+            if y == sink or x >> 1 == y >> 1:  # a sink or split arc, either way
+                used ^= 1 << (x >> 1)
+            elif x & 1:  # out(a) -> in(b) gains flow
+                added.append((x >> 1, y >> 1))
+            else:  # in(b) -> out(a) cancels the flow on out(a) -> in(b)
+                into[x >> 1] = -1
+            y = x
+        for a, b in added:
+            into[b] = a
+
+    # each end's flow path, followed back to mid
+    halves = []
+    for e in ends:
+        seq = [e]
+        while seq[-1] != mid:
+            seq.append(into[seq[-1]])
+        halves.append(seq)
+    path = tuple(halves[0] + halves[1][-2::-1])
+    return (sum(weight[v] for v in path), path), scanned
 
 
 def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget,
@@ -329,15 +521,31 @@ def pack_at_least(g: Graph, s, t: int, variant: str,
     if local_upper_bound(g, s, variant) < t:
         return PackDecision("no", None, 0)
     pool = WorkBudget(budget_ms)
-    family, _, proven = _enumerate_and_pack(g, _eid_flat(g), s, variant, pool, t, True)
-    cert = PackingCertificate(variant, s, family, LOWER_BOUND) if family else None
-    answer = "yes" if len(family) >= t else "no" if proven else "unknown"
-    return PackDecision(answer, cert, pool.spent)
+    eid = _eid_flat(g)
+
+    def decision(family, proven):
+        cert = PackingCertificate(variant, s, family, LOWER_BOUND) if family else None
+        answer = "yes" if len(family) >= t else "no" if proven else "unknown"
+        return PackDecision(answer, cert, pool.spent)
+
+    if _residual_stage(s, variant):
+        # pack the short list only when it is all a full listing would give
+        # at this budget; packing a cut list toward t spends the budget
+        cands, enum_complete = _candidates(g, s, variant, pool, _SHORT_CAP)
+        if enum_complete or pool.exhausted:
+            return decision(*_pack(g, eid, s, variant, pool, cands, enum_complete,
+                                   t, True))
+        family = _residual_paths(g, s, t, variant, pool)
+        if family:
+            return decision(family, False)
+    family, _, proven = _enumerate_and_pack(g, eid, s, variant, pool, t, True)
+    return decision(family, proven)
 
 
 def _try_reach(g, eid, s, variant, goal, pool):
-    """Cheap attempt to certify local value >= goal: over the first 256
-    candidates, then over DEFAULT_CAP unless those were all of them.
+    """Cheap attempt to certify local value >= goal: over the first
+    _SHORT_CAP candidates, then, unless those were all of them, by the
+    residual search (at a triple of a path variant) and over DEFAULT_CAP.
 
     The caller has checked local_upper_bound(g, s, variant) >= goal.
     Returns (hit, decisive_no, best_found).  decisive_no means the search
@@ -346,7 +554,7 @@ def _try_reach(g, eid, s, variant, goal, pool):
     if goal == 0:
         return True, False, 0
     best_seen = 0
-    for phase_cap in (256, DEFAULT_CAP):
+    for phase_cap in (_SHORT_CAP, DEFAULT_CAP):
         if pool.exhausted:
             break
         family, enum_complete, proven = _enumerate_and_pack(
@@ -358,6 +566,9 @@ def _try_reach(g, eid, s, variant, goal, pool):
             return False, True, best_seen
         if enum_complete:
             break
+        if (phase_cap == _SHORT_CAP and _residual_stage(s, variant)
+                and _residual_paths(g, s, goal, variant, pool)):
+            return True, False, goal
     return False, False, best_seen
 
 

@@ -35,7 +35,7 @@ from .steiner import (
 )
 from .transforms import line_graph, natural_iso_check
 from .witness import (complete_graph_witness, prescribed_instance,
-                      product_witness, verify_family)
+                      product_grid, product_witness, verify_family)
 
 PASS = "pass"
 FAIL = "fail"
@@ -471,7 +471,7 @@ def suite_construction(seed: int = 1, pairs=((2, 3), (2, 4), (3, 5)),
 
     rng = random.Random(seed)
     for p, q in pairs:
-        rows, cols = 2 * p, 2 * q - 2 * p + 2
+        rows, cols = product_grid(p, q)
         inst = f"p={p};q={q};grid={rows}x{cols}"
 
         rep.require("line-of-bipartite-is-product", inst,

@@ -164,7 +164,8 @@ class ProductCoordinates:
         return divmod(v, self.cols)
 
 
-def _check_product_params(p: int, q: int) -> tuple[int, int]:
+def product_grid(p: int, q: int) -> tuple[int, int]:
+    """The (rows, cols) = (2p, 2q - 2p + 2) grid of the construction for (p, q)."""
     if p < 2 or q < p + 1:
         raise InputError("product construction needs p >= 2 and q >= p + 1")
     return 2 * p, 2 * q - 2 * p + 2
@@ -172,7 +173,7 @@ def _check_product_params(p: int, q: int) -> tuple[int, int]:
 
 def product_witness_graph(p: int, q: int) -> LabeledGraph:
     """The product K_{2p} x K_{2q-2p+2}, labeled with coordinates."""
-    rows, cols = _check_product_params(p, q)
+    rows, cols = product_grid(p, q)
     return cartesian_product(complete(rows), complete(cols))
 
 
@@ -197,7 +198,7 @@ class ProductWitness:
 
 def _product_triple(p: int, q: int, s):
     """The product's grid, the validated triple and its coordinates."""
-    rows, cols = _check_product_params(p, q)
+    rows, cols = product_grid(p, q)
     grid = ProductCoordinates(rows, cols)
     s = terminal_set(_cached_product(p, q), s)
     if len(s) != 3:
@@ -396,6 +397,14 @@ class PrescribedInstance:
     refutation_problems: tuple[str, ...]
 
 
+def prescribed_triple(p: int, q: int) -> tuple[int, int, int]:
+    """The triple of the product for (p, q) that prescribed_instance certifies
+    and probes: the first triple of least local_upper_bound."""
+    g = _cached_product(p, q)
+    return min(combinations(range(g.n), 3),
+               key=lambda s: (local_upper_bound(g, s, PI), s))
+
+
 def prescribed_instance(p: int, q: int, budget_ms: int | None = 60_000,
                         base_budget_ms: int | None = None) -> PrescribedInstance:
     """Build the instance, certify both values, and probe the q upper bound.
@@ -407,15 +416,14 @@ def prescribed_instance(p: int, q: int, budget_ms: int | None = 60_000,
     beyond 10 base vertices, where the result degrades to a lower-bound
     certificate).
     """
-    rows, cols = _check_product_params(p, q)
+    rows, cols = product_grid(p, q)
     base = complete_bipartite(rows, cols)
     base_result = global_connectivity(base, 3, PI, budget_ms=base_budget_ms)
     line = line_graph(base)
     lg = line.graph
     if lg != _cached_product(p, q):
         raise AssertionError("line graph does not match the product layout")
-    s_star = min(combinations(range(lg.n), 3),
-                 key=lambda s: (local_upper_bound(lg, s, PI), s))
+    s_star = prescribed_triple(p, q)
     witness = product_witness(p, q, s_star)
     cert = PackingCertificate(PI, s_star, witness.family, LOWER_BOUND)
     refutation = pack_at_least(lg, s_star, q + 1, PI, budget_ms=budget_ms)

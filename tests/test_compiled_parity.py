@@ -3,7 +3,7 @@
 A test run that imports pathconn from src/ without building it has no
 compiled kernel, so tests/test_backends.py skips there.  This test builds
 the shipped _kernel.c in a temporary copy of the source tree, then runs
-the parity module and the golden-record module against that build in a
+the parity, golden-record and residual-search modules against that build in a
 subprocess with PATHCONN_BACKEND=compiled.  It fails if that run skips
 anything, skips only when no C compiler is found, and writes nothing
 under src/.
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("test_backends.py", "test_solver_golden.py")
+MODULES = ("test_backends.py", "test_solver_golden.py", "test_residual_paths.py")
 KERNEL = "_kernel" + sysconfig.get_config_var("EXT_SUFFIX")
 
 

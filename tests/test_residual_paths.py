@@ -5,7 +5,9 @@ attempt run this search once their short candidate list is cut by its
 cap.  These tests pin what the search may and may not do: every family it
 returns is a valid disjoint family of the size asked for, two runs agree
 in every detail, it never spends more than its pool holds, and finding
-nothing never turns into a "no".
+nothing never turns into a "no".  The global scans reach the stage with
+the real cap only on graphs of 15 or more vertices, so their tests lower
+the cap to reach it on small graphs.
 """
 
 import hashlib
@@ -13,10 +15,12 @@ from itertools import combinations
 
 import pytest
 
+from pathconn import steiner
+from pathconn.graphs import Graph, complete
 from pathconn.random_graphs import RandomGraphSpec, sample_graphs
 from pathconn.steiner import (
-    OMEGA, PI, WorkBudget, _residual_paths, local_connectivity,
-    local_upper_bound, pack_at_least,
+    OMEGA, PI, WorkBudget, _residual_paths, global_at_least,
+    global_connectivity, local_connectivity, local_upper_bound, pack_at_least,
 )
 from pathconn.suites import _CONSTRUCTION_BUDGET_MS
 from pathconn.witness import (_cached_product, family_violations,
@@ -27,6 +31,27 @@ PAIRS = ((2, 3), (2, 4), (3, 5))
 
 def _product(p, q):
     return _cached_product(p, q), prescribed_triple(p, q)
+
+
+def _rook(a, b):
+    """K_a x K_b: vertex b*i + j is cell (i, j), adjacent along rows and columns."""
+    n = a * b
+    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)
+                          if (u // b == v // b) != (u % b == v % b)))
+
+
+@pytest.fixture
+def search_log(monkeypatch):
+    """The families _residual_paths returns, in call order."""
+    log = []
+
+    def logged(*args):
+        family = _residual_paths(*args)
+        log.append(family)
+        return family
+
+    monkeypatch.setattr(steiner, "_residual_paths", logged)
+    return log
 
 
 def _digest(family) -> str:
@@ -121,3 +146,60 @@ def test_probe_proves_more_than_q_paths_at_the_prescribed_triple(p, q):
     family = dec.certificate.family
     assert len(family) == q + 1
     assert family_violations(g, s_star, family, PI) == []
+
+
+@pytest.mark.parametrize("g, s, goal", [
+    (_rook(3, 3), (0, 1, 3), 3),  # a hit on the third draw
+    (_rook(4, 4), (0, 1, 5), 4),  # a hit on the second draw
+])
+def test_a_later_weight_draw_turns_a_miss_into_a_hit(monkeypatch, g, s, goal):
+    family = _residual_paths(g, s, goal, PI, WorkBudget(None))
+    _check(g, s, goal, PI, family)
+    assert len(family) == goal
+    monkeypatch.setattr(steiner, "_RESIDUAL_DRAWS", 1)
+    assert _residual_paths(g, s, goal, PI, WorkBudget(None)) == ()
+
+
+def test_a_miss_falls_back_to_listing_and_packing(search_log):
+    # the greedy search misses 4 omega paths at this triple of K7 - e; the
+    # DEFAULT_CAP listing and pack finds them
+    g, s = complete(7).without_edge(0, 1), (0, 1, 2)
+    dec = pack_at_least(g, s, 4, OMEGA)
+    assert search_log == [()]
+    assert dec.answer == "yes"
+    assert len(dec.certificate.family) == 4
+    assert family_violations(g, s, dec.certificate.family, OMEGA) == []
+
+
+def test_a_miss_still_reaches_a_proven_no(search_log):
+    # the local pi value at this triple of K7 - e is 3, below its bound 4
+    g, s = complete(7).without_edge(0, 1), (0, 1, 2)
+    assert local_upper_bound(g, s, PI) == 4
+    assert local_connectivity(g, s, PI).value == 3
+    assert pack_at_least(g, s, 4, PI).answer == "no"
+    assert search_log == [()]
+
+
+@pytest.mark.parametrize("variant", (PI, OMEGA))
+@pytest.mark.parametrize("g", (complete(6), complete(7).without_edge(0, 1), _rook(2, 4)),
+                         ids=("K6", "K7-e", "K2xK4"))
+def test_global_scans_agree_with_scans_without_the_search(monkeypatch, search_log,
+                                                          g, variant):
+    # with a short list of 8 candidates the global scans' cheap attempts
+    # reach the search at most triples; every hit must leave the scan's
+    # answer as it is without the search
+    monkeypatch.setattr(steiner, "_SHORT_CAP", 8)
+
+    def scans():
+        res = global_connectivity(g, 3, variant)
+        return (res.value, res.status, res.terminals, res.certificate,
+                [global_at_least(g, 3, t, variant) for t in (res.value, res.value + 1)])
+
+    with_search = scans()
+    assert any(search_log)
+    assert with_search[1] == "exact"
+    assert with_search[4] == ["yes", "no"]
+    monkeypatch.setattr(steiner, "_residual_stage", lambda s, variant: False)
+    search_log.clear()
+    assert scans() == with_search
+    assert search_log == []

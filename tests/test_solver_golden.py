@@ -10,7 +10,9 @@ every call that differs.
 The cases cover all four variants, the k = 1, k > n and disconnected
 conventions, budgets 0, 1, 2 and 100 and ones that stop a global scan
 part way, thresholds below, at and above local_upper_bound, and
-thresholds at and above the global value.
+thresholds at and above the global value.  A few pack_at_least probes
+list more than 256 candidates, so they reach the residual two-path
+search at a triple and the single DEFAULT_CAP listing off triples.
 
 Regenerate the records, only for a change meant to alter results, with
 
@@ -34,7 +36,7 @@ from pathconn.steiner import (
     enumerate_minimal_strees, global_at_least, global_connectivity,
     local_connectivity, local_upper_bound, pack_at_least,
 )
-from pathconn.transforms import line_graph
+from pathconn.transforms import cartesian_product, line_graph
 
 GOLDEN = Path(__file__).with_name("solver_golden.json")
 
@@ -149,6 +151,20 @@ def _cases():
         for s in _terminal_sets(g):
             for enum in (enumerate_minimal_spaths, enumerate_minimal_strees):
                 yield from calls(enum, gname, g, s)
+
+    # probes whose candidate lists outgrow the first 256: the search hits
+    # on K3xK3 (on its third weight draw) and misses on K7-e, where the
+    # DEFAULT_CAP pack answers yes for omega and a proven no for pi; K7
+    # at four terminals lists 1,272 candidates in one phase
+    k7e = complete(7).without_edge(0, 1)
+    probes = [("K3xK3", cartesian_product(complete(3), complete(3)).graph,
+               (0, 1, 3), 3, "pi"),
+              ("K7-e", k7e, (0, 1, 2), 4, "omega"),
+              ("K7-e", k7e, (0, 1, 2), 4, "pi"),
+              ("K7", complete(7), (0, 1, 2, 3), 2, "pi")]
+    for gname, g, s, t, variant in probes:
+        for budget in (None, 3, 20):
+            yield _call(pack_at_least, gname, g, s, t, variant, budget_ms=budget)
 
     # rejected input: the first failing check names the error
     k4, k0 = complete(4), Graph(0)

@@ -8,8 +8,8 @@ Cython 3 and update the hash pinned in tests/test_kernel_source.py:
     cython -3 -X boundscheck=False -X wraparound=False -X initializedcheck=False -X cdivision=True src/pathconn/_kernel.pyx
 
 The package works without the extension: pathconn._backend falls back to the
-pure-Python kernel if pathconn._kernel is missing.  Set PATHCONN_NO_EXT=1 to
-skip the extension build entirely.
+pure-Python kernel if pathconn._kernel is missing; set PATHCONN_BACKEND=pure
+to use that kernel even where the extension is built.
 """
 
 import os
@@ -47,10 +47,5 @@ class OptionalBuildExt(build_ext):
             ext.optional = True  # nothing was built, so --inplace copies nothing
 
 
-def extensions():
-    if os.environ.get("PATHCONN_NO_EXT") == "1":
-        return []
-    return [Extension("pathconn._kernel", ["src/pathconn/_kernel.c"])]
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("pathconn._kernel", ["src/pathconn/_kernel.c"])],
+      cmdclass={"build_ext": OptionalBuildExt})

@@ -24,10 +24,10 @@ from .steiner import (DEFAULT_CAP, EXACT, KAPPA, LAMBDA, LOWER_BOUND, OMEGA,
 from .suites import (SuiteReport, run_all, run_suite, serialize_reports,
                      suite_construction, suite_formulas, suite_inequalities,
                      suite_linegraph)
-from .transforms import (LabeledGraph, cartesian_product, commutativity_check,
-                         line_graph, natural_iso_check)
+from .transforms import (LabeledGraph, cartesian_product, line_graph,
+                         natural_iso_check)
 from .witness import (PrescribedInstance, ProductCoordinates, ProductWitness,
-                      classify_triple, complete_graph_witness,
+                      complete_graph_witness,
                       family_violations, prescribed_instance, product_witness,
                       product_witness_family, product_witness_graph,
                       verify_family)
@@ -40,7 +40,7 @@ __all__ = [
     "InputError", "LabeledGraph", "PackDecision", "PackingCertificate",
     "PrescribedInstance", "ProductCoordinates", "ProductWitness",
     "RandomGraphSpec",
-    "SuiteReport", "cartesian_product", "classify_triple", "commutativity_check",
+    "SuiteReport", "cartesian_product",
     "complete", "complete_bipartite", "complete_graph_value",
     "complete_graph_witness", "components", "connectivity", "cycle",
     "edge_connectivity", "enumerate_minimal_spaths", "enumerate_minimal_strees",

@@ -61,7 +61,11 @@ class Graph:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        """Neighbor bitmasks; only valid while n <= the host integer width allows."""
+        """Neighbor bitmasks, one int per vertex.
+
+        Python ints have no width limit; the limit is the solvers' guard of
+        64 vertices (steiner._check_solver_size), as the compiled kernel
+        holds each mask in one 64-bit word."""
         out = [0] * self.n
         for u, v in self.edges:
             out[u] |= 1 << v
@@ -87,9 +91,6 @@ class Graph:
         if e not in self.edge_index:
             raise InputError(f"edge {e!r} not present")
         return Graph(self.n, tuple(x for x in self.edges if x != e))
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.n, self.edges + (canon_edge(u, v),))
 
     def is_connected(self) -> bool:
         return len(components(self)) <= 1

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph, InputError
-from .invariants import connectivity, edge_connectivity
+from .invariants import connectivity
 
-REQUIREMENTS = ("none", "connected", "2-connected", "2-edge-connected")
+REQUIREMENTS = ("none", "connected", "2-connected")
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,6 @@ def meets_requirement(g: Graph, requirement: str) -> bool:
         return g.is_connected()
     if requirement == "2-connected":
         return g.n >= 3 and connectivity(g) >= 2
-    if requirement == "2-edge-connected":
-        return g.n >= 2 and edge_connectivity(g) >= 2
     raise InputError(f"unknown requirement {requirement!r}")
 
 
@@ -70,9 +68,3 @@ def sample_graph(spec: RandomGraphSpec, rng: random.Random) -> Graph:
 def sample_graphs(spec: RandomGraphSpec, seed: int, count: int) -> list[Graph]:
     rng = random.Random(seed)
     return [sample_graph(spec, rng) for _ in range(count)]
-
-
-def sample_terminals(g: Graph, k: int, rng: random.Random) -> tuple[int, ...]:
-    if k > g.n:
-        raise InputError(f"cannot sample {k} terminals from {g.n} vertices")
-    return tuple(sorted(rng.sample(range(g.n), k)))

@@ -14,10 +14,11 @@ The global value is the minimum of the local values over all k-subsets,
 with the usual conventions: k = 1 gives the minimum degree, a disconnected
 graph gives 0, and a connected graph with fewer than k vertices gives 1.
 
-Threshold questions (pack_at_least and the global scans' cheap attempts)
-at a triple of a path variant may be answered yes by a seeded residual
-two-path search (_residual_paths) once a short candidate list turns out
-to be cut by its cap; only a complete enumeration and pack answers no.
+Threshold questions (pack_at_least, global_at_least and each step of the
+global scan) are staged by one routine, _at_least.  At a triple of a path
+variant a seeded residual two-path search (_residual_paths) may answer yes
+once a short candidate list turns out to be cut by its cap; only a
+complete enumeration and pack answers no.
 
 Budgets are deterministic work units (see _pure); budget_ms is converted at
 a fixed rate so identical inputs give identical outputs on any machine.
@@ -302,16 +303,14 @@ def _pack(g: Graph, eid, s, variant, pool: WorkBudget, cands, enum_complete: boo
 
 
 def _enumerate_and_pack(g: Graph, eid, s, variant, pool: WorkBudget,
-                        target: int, decide: bool, cap: int = DEFAULT_CAP):
-    """Enumerate at most cap candidates for s, then pack them toward target.
+                        target: int, decide: bool):
+    """List at most DEFAULT_CAP candidates for s, then pack them toward target.
 
-    Both stages are charged to pool; the pack gets what enumeration left.
-    Returns (family, enum_complete, proven), with proven as in _pack.
+    Both stages are charged to pool; the pack gets what listing left.
+    Returns (family, proven) as _pack does.
     """
-    cands, enum_complete = _candidates(g, s, variant, pool, cap)
-    family, proven = _pack(g, eid, s, variant, pool, cands, enum_complete,
-                           target, decide)
-    return family, enum_complete, proven
+    cands, enum_complete = _candidates(g, s, variant, pool, DEFAULT_CAP)
+    return _pack(g, eid, s, variant, pool, cands, enum_complete, target, decide)
 
 
 _SHORT_CAP = 256  # candidates a threshold question lists before looking further
@@ -321,6 +320,46 @@ _RESIDUAL_DRAWS = 3  # weight draws the residual search tries
 def _residual_stage(s, variant) -> bool:
     """Whether _residual_paths serves s: triples of the path variants."""
     return len(s) == 3 and not _TREE[variant]
+
+
+def _at_least(g: Graph, eid, s, variant, goal: int, pool: WorkBudget, pack_cut: bool):
+    """Stage the question whether s carries goal disjoint members.
+
+    1. At a triple of a path variant, and at every set when pack_cut is
+       set, list the first _SHORT_CAP candidates.  When that list is
+       complete or the pool is spent, packing it settles the question.
+    2. When pack_cut is set, pack the cut list toward goal.
+    3. At a triple of a path variant, run _residual_paths.
+    4. On a miss, list and pack DEFAULT_CAP candidates with what the pool
+       has left.
+    The global scans set pack_cut, as there the short pack hits at sets
+    where the search misses; pack_at_least does not, as packing a cut
+    list toward goal can spend its whole budget.
+
+    The caller has checked local_upper_bound(g, s, variant) >= goal.
+    Returns (family, proven) as _pack does: family has goal members or is
+    the largest found, and proven means that no family reaches goal.
+    """
+    if goal == 0:
+        return (), False
+    found = ()
+    residual = _residual_stage(s, variant)
+    if pack_cut or residual:
+        cands, enum_complete = _candidates(g, s, variant, pool, _SHORT_CAP)
+        if enum_complete or pool.exhausted:
+            return _pack(g, eid, s, variant, pool, cands, enum_complete, goal, True)
+        if pack_cut:
+            found, _ = _pack(g, eid, s, variant, pool, cands, False, goal, True)
+            if len(found) >= goal:
+                return found, False
+        if residual:
+            family = _residual_paths(g, s, goal, variant, pool)
+            if family:
+                return family, False
+        if pool.exhausted:
+            return found, False
+    family, proven = _enumerate_and_pack(g, eid, s, variant, pool, goal, True)
+    return max(found, family, key=len), proven
 
 
 def _residual_paths(g: Graph, s, goal: int, variant: str, pool: WorkBudget):
@@ -493,7 +532,7 @@ def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget,
     """
     if pool.exhausted:
         return PackingCertificate(variant, s, (), LOWER_BOUND)
-    family, _, proven = _enumerate_and_pack(g, eid, s, variant, pool, ub, False)
+    family, proven = _enumerate_and_pack(g, eid, s, variant, pool, ub, False)
     if not family:
         status = ZERO if proven else LOWER_BOUND
     else:
@@ -521,55 +560,10 @@ def pack_at_least(g: Graph, s, t: int, variant: str,
     if local_upper_bound(g, s, variant) < t:
         return PackDecision("no", None, 0)
     pool = WorkBudget(budget_ms)
-    eid = _eid_flat(g)
-
-    def decision(family, proven):
-        cert = PackingCertificate(variant, s, family, LOWER_BOUND) if family else None
-        answer = "yes" if len(family) >= t else "no" if proven else "unknown"
-        return PackDecision(answer, cert, pool.spent)
-
-    if _residual_stage(s, variant):
-        # pack the short list only when it is all a full listing would give
-        # at this budget; packing a cut list toward t spends the budget
-        cands, enum_complete = _candidates(g, s, variant, pool, _SHORT_CAP)
-        if enum_complete or pool.exhausted:
-            return decision(*_pack(g, eid, s, variant, pool, cands, enum_complete,
-                                   t, True))
-        family = _residual_paths(g, s, t, variant, pool)
-        if family:
-            return decision(family, False)
-    family, _, proven = _enumerate_and_pack(g, eid, s, variant, pool, t, True)
-    return decision(family, proven)
-
-
-def _try_reach(g, eid, s, variant, goal, pool):
-    """Cheap attempt to certify local value >= goal: over the first
-    _SHORT_CAP candidates, then, unless those were all of them, by the
-    residual search (at a triple of a path variant) and over DEFAULT_CAP.
-
-    The caller has checked local_upper_bound(g, s, variant) >= goal.
-    Returns (hit, decisive_no, best_found).  decisive_no means the search
-    proved the local value < goal.
-    """
-    if goal == 0:
-        return True, False, 0
-    best_seen = 0
-    for phase_cap in (_SHORT_CAP, DEFAULT_CAP):
-        if pool.exhausted:
-            break
-        family, enum_complete, proven = _enumerate_and_pack(
-            g, eid, s, variant, pool, goal, True, phase_cap)
-        best_seen = max(best_seen, len(family))
-        if len(family) >= goal:
-            return True, False, len(family)
-        if proven:
-            return False, True, best_seen
-        if enum_complete:
-            break
-        if (phase_cap == _SHORT_CAP and _residual_stage(s, variant)
-                and _residual_paths(g, s, goal, variant, pool)):
-            return True, False, goal
-    return False, False, best_seen
+    family, proven = _at_least(g, _eid_flat(g), s, variant, t, pool, False)
+    cert = PackingCertificate(variant, s, family, LOWER_BOUND) if family else None
+    answer = "yes" if len(family) >= t else "no" if proven else "unknown"
+    return PackDecision(answer, cert, pool.spent)
 
 
 def _convention(g: Graph, k: int, variant: str) -> GlobalResult | None:
@@ -628,9 +622,9 @@ def global_connectivity(g: Graph, k: int, variant: str,
         # sets come in ascending bound order and best_val is a proven value
         # at an earlier set, so best_val <= that set's bound <= ub here
         if best_val is not None:
-            hit, decisive_no, found = _try_reach(g, eid, s, variant, best_val, pool)
-            if not decisive_no:
-                low = min(low, best_val if hit else found)
+            family, proven = _at_least(g, eid, s, variant, best_val, pool, True)
+            if not proven:
+                low = min(low, len(family))
                 continue
             ub = best_val - 1
         cert = _local_solve(g, eid, s, variant, pool, ub)
@@ -666,7 +660,7 @@ def global_at_least(g: Graph, k: int, t: int, variant: str,
             return "unknown"
         if local_upper_bound(g, s, variant) < t:
             return "no"
-        hit, decisive_no, _ = _try_reach(g, eid, s, variant, t, pool)
-        if not hit:
-            return "no" if decisive_no else "unknown"
+        family, proven = _at_least(g, eid, s, variant, t, pool, True)
+        if len(family) < t:
+            return "no" if proven else "unknown"
     return "yes"

@@ -86,16 +86,3 @@ def natural_iso_check(r: int, s: int) -> bool:
         if (i, w - r) != prod.pairs[v]:
             return False
     return True
-
-
-def commutativity_check(g: Graph, h: Graph) -> bool:
-    """Check that swapping coordinates maps g x h onto h x g exactly."""
-    gh = cartesian_product(g, h).graph
-    hg = cartesian_product(h, g).graph
-
-    def swap(v: int) -> int:
-        i, j = divmod(v, h.n)
-        return j * g.n + i
-
-    mapped = Graph(gh.n, tuple(canon_edge(swap(u), swap(v)) for u, v in gh.edges))
-    return mapped == hg

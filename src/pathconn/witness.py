@@ -226,11 +226,6 @@ def product_witness_family(p: int, q: int, s) -> tuple[tuple[int, ...], ...]:
     return w.family
 
 
-def classify_triple(p: int, q: int, s) -> str:
-    """Which construction case handles the triple (for reporting)."""
-    return _case(_product_triple(p, q, s)[2])[0]
-
-
 def _case(trip):
     """The _CASES entry of the triple's shape."""
     return _CASES[len({r for r, _ in trip}), len({c for _, c in trip})]

@@ -21,7 +21,6 @@ from pathconn.steiner import (
     EXACT, KAPPA, OMEGA, PI, complete_graph_value, global_connectivity,
     local_connectivity,
 )
-from pathconn.suites import suite_inequalities, suite_linegraph
 from pathconn.transforms import natural_iso_check
 from pathconn.witness import (
     prescribed_instance, product_witness_family, product_witness_graph,
@@ -142,24 +141,37 @@ def test_criterion_07_prescribed_instance_end_to_end(scorecard):
               f"refutation={ref.answer}")
 
 
-def test_criterion_08_inequality_suite(scorecard):
-    rep = suite_inequalities(seed=1, count=200, n_max=7, m_max=12)
-    failing = [c for c in rep.checks if c.verdict == "fail"]
-    scorecard(8, "inequality-suite", not failing,
-              f"checks={len(rep.checks)} failed={len(failing)} "
-              f"inconclusive={rep.inconclusive}"
-              + (f" first={failing[0].claim}@{failing[0].instance}"
+@pytest.fixture(scope="module")
+def verify_all(tmp_path_factory):
+    """One `pathconn verify --suite all --seed 1 --json` run: (exit code,
+    report bytes).  Criteria 08 and 09 read their suite's report from it,
+    and criterion 11 compares a second run with it."""
+    out = tmp_path_factory.mktemp("verify") / "first.json"
+    code = cli_main(["verify", "--suite", "all", "--seed", "1", "--json",
+                     "-o", str(out)])
+    return code, out.read_bytes()
+
+
+def _suite_criterion(scorecard, verify_all, num, slug, suite, params):
+    rep = next(r for r in json.loads(verify_all[1])["reports"]
+               if r["suite"] == suite)
+    failing = [c for c in rep["checks"] if c["verdict"] == "fail"]
+    got = {key: rep["params"].get(key) for key in params}
+    scorecard(num, slug, not failing and got == params,
+              f"checks={len(rep['checks'])} failed={len(failing)} "
+              f"inconclusive={rep['totals']['inconclusive']} params={got}"
+              + (f" first={failing[0]['claim']}@{failing[0]['instance']}"
                  if failing else ""))
 
 
-def test_criterion_09_line_graph_suite(scorecard):
-    rep = suite_linegraph(seed=1, count=50, budget_ms=20_000)
-    failing = [c for c in rep.checks if c.verdict == "fail"]
-    scorecard(9, "line-graph-suite", not failing,
-              f"checks={len(rep.checks)} failed={len(failing)} "
-              f"inconclusive={rep.inconclusive}"
-              + (f" first={failing[0].claim}@{failing[0].instance}"
-                 if failing else ""))
+def test_criterion_08_inequality_suite(scorecard, verify_all):
+    _suite_criterion(scorecard, verify_all, 8, "inequality-suite", "inequalities",
+                     {"count": 200, "n_max": 7, "m_max": 12})
+
+
+def test_criterion_09_line_graph_suite(scorecard, verify_all):
+    _suite_criterion(scorecard, verify_all, 9, "line-graph-suite", "line",
+                     {"count": 50, "budget_ms": 20_000})
 
 
 def test_criterion_10_oracle_equivalence(scorecard):
@@ -181,14 +193,12 @@ def test_criterion_10_oracle_equivalence(scorecard):
               + (f" first={bad[0]}" if bad else ""))
 
 
-def test_criterion_11_deterministic_reports(scorecard, tmp_path):
-    outs = []
-    codes = []
-    for name in ("first.json", "second.json"):
-        out = tmp_path / name
-        codes.append(cli_main(["verify", "--suite", "all", "--seed", "1",
-                               "--json", "-o", str(out)]))
-        outs.append(out.read_bytes())
+def test_criterion_11_deterministic_reports(scorecard, verify_all, tmp_path):
+    out = tmp_path / "second.json"
+    codes = [verify_all[0],
+             cli_main(["verify", "--suite", "all", "--seed", "1", "--json",
+                       "-o", str(out)])]
+    outs = [verify_all[1], out.read_bytes()]
     identical = outs[0] == outs[1]
     data = json.loads(outs[0])
     ok = (identical and codes[0] == codes[1] and codes[0] in (0, 2)

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from pathconn.graphs import InputError
-from pathconn.invariants import connectivity, edge_connectivity
+from pathconn.invariants import connectivity
 from pathconn.random_graphs import (
     REQUIREMENTS, RandomGraphSpec, meets_requirement, sample_graph,
-    sample_graphs, sample_terminals,
+    sample_graphs,
 )
 
 
@@ -43,8 +43,6 @@ def test_requirement_predicates():
         assert meets_requirement(g, "none")
         assert meets_requirement(g, "connected") == g.is_connected()
         assert meets_requirement(g, "2-connected") == (connectivity(g) >= 2)
-        assert meets_requirement(g, "2-edge-connected") == (
-            edge_connectivity(g) >= 2)
     assert "none" in seen
 
 
@@ -54,16 +52,6 @@ def test_same_seed_same_graphs():
         spec, seed=7, count=20)
     assert sample_graphs(spec, seed=7, count=20) != sample_graphs(
         spec, seed=8, count=20)
-
-
-def test_sample_terminals():
-    spec = RandomGraphSpec(requirement="connected")
-    g = sample_graphs(spec, seed=1, count=1)[0]
-    rng = random.Random(0)
-    s = sample_terminals(g, 3, rng)
-    assert len(s) == 3 and len(set(s)) == 3
-    assert s == tuple(sorted(s))
-    assert all(0 <= v < g.n for v in s)
 
 
 def test_unsatisfiable_requirement_raises():

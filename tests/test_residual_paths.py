@@ -1,13 +1,13 @@
 """The residual two-path search of pathconn.steiner (_residual_paths).
 
-At a triple of a path variant, pack_at_least and the global scan's cheap
-attempt run this search once their short candidate list is cut by its
-cap.  These tests pin what the search may and may not do: every family it
-returns is a valid disjoint family of the size asked for, two runs agree
-in every detail, it never spends more than its pool holds, and finding
-nothing never turns into a "no".  The global scans reach the stage with
-the real cap only on graphs of 15 or more vertices, so their tests lower
-the cap to reach it on small graphs.
+At a triple of a path variant, steiner._at_least runs this search for
+pack_at_least and the global scans once their short candidate list is
+cut by its cap.  These tests pin what the search may and may not do:
+every family it returns is a valid disjoint family of the size asked
+for, two runs agree in every detail, it never spends more than its pool
+holds, and finding nothing never turns into a "no".  The global scans
+reach the stage with the real cap only on graphs of 15 or more vertices,
+so their tests lower the cap to reach it on small graphs.
 """
 
 import hashlib
@@ -185,9 +185,9 @@ def test_a_miss_still_reaches_a_proven_no(search_log):
                          ids=("K6", "K7-e", "K2xK4"))
 def test_global_scans_agree_with_scans_without_the_search(monkeypatch, search_log,
                                                           g, variant):
-    # with a short list of 8 candidates the global scans' cheap attempts
-    # reach the search at most triples; every hit must leave the scan's
-    # answer as it is without the search
+    # with a short list of 8 candidates the global scans' threshold
+    # questions reach the search at most triples; every hit must leave the
+    # scan's answer as it is without the search
     monkeypatch.setattr(steiner, "_SHORT_CAP", 8)
 
     def scans():

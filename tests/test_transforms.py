@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathconn.graphs import (
-    Graph, InputError, complete, complete_bipartite, cycle, net, path, star,
+    Graph, InputError, canon_edge, complete, complete_bipartite, cycle, net,
+    path, star,
 )
 from pathconn.invariants import connectivity
 from pathconn.transforms import (
-    LabeledGraph, cartesian_product, commutativity_check, line_graph,
-    natural_iso_check,
+    LabeledGraph, cartesian_product, line_graph, natural_iso_check,
 )
 
 
@@ -85,6 +85,19 @@ def test_product_of_two_edges_is_a_four_cycle():
     assert (gh.n, gh.m) == (4, 4)
     assert set(gh.degrees()) == {2}
     assert gh.is_connected()
+
+
+def commutativity_check(g: Graph, h: Graph) -> bool:
+    """Whether swapping coordinates maps g x h onto h x g exactly."""
+    gh = cartesian_product(g, h).graph
+    hg = cartesian_product(h, g).graph
+
+    def swap(v: int) -> int:
+        i, j = divmod(v, h.n)
+        return j * g.n + i
+
+    mapped = Graph(gh.n, tuple(canon_edge(swap(u), swap(v)) for u, v in gh.edges))
+    return mapped == hg
 
 
 @settings(max_examples=40, deadline=None)

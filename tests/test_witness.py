@@ -8,7 +8,7 @@ from pathconn.graphs import InputError, complete, cycle, path
 from pathconn.steiner import (EXACT, KAPPA, LAMBDA, LOWER_BOUND, OMEGA, PI,
                               PackDecision, PackingCertificate)
 from pathconn.witness import (
-    ProductCoordinates, classify_triple, complete_graph_witness,
+    ProductCoordinates, complete_graph_witness,
     family_violations, prescribed_instance, product_witness,
     product_witness_family, product_witness_graph, verify_family,
 )
@@ -124,7 +124,8 @@ def test_product_families_exhaustive_at_smallest_size():
         fam = product_witness_family(2, 3, s)
         assert len(fam) == 3
         assert verify_family(g, s, fam, PI), s
-        seen[classify_triple(2, 3, s)] = seen.get(classify_triple(2, 3, s), 0) + 1
+        case = product_witness(2, 3, s).case
+        seen[case] = seen.get(case, 0) + 1
     assert set(seen) == set(CASES)
     assert sum(seen.values()) == 560
 
@@ -145,11 +146,6 @@ def test_product_family_validates_input():
         product_witness_family(2, 3, (0, 1))
     with pytest.raises(InputError):
         product_witness_family(2, 3, (0, 1, 99))
-
-
-def test_classify_covers_every_case_label():
-    labels = {classify_triple(2, 3, s) for s in combinations(range(16), 3)}
-    assert labels == set(CASES)
 
 
 def test_prescribed_instance_end_to_end():

@@ -26,11 +26,10 @@ from .suites import (SuiteReport, run_all, run_suite, serialize_reports,
                      suite_linegraph)
 from .transforms import (LabeledGraph, cartesian_product, line_graph,
                          natural_iso_check)
-from .witness import (PrescribedInstance, ProductCoordinates, ProductWitness,
-                      complete_graph_witness,
-                      family_violations, prescribed_instance, product_witness,
-                      product_witness_family, product_witness_graph,
-                      verify_family)
+from .witness import (PrescribedInstance, ProductWitness,
+                      complete_graph_witness, family_violations,
+                      prescribed_instance, product_witness,
+                      product_witness_graph, verify_family)
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,7 @@ __all__ = [
     "BACKEND", "DEFAULT_CAP", "EXACT", "GENERATORS", "KAPPA", "LAMBDA",
     "LOWER_BOUND", "OMEGA", "PI", "VARIANTS", "ZERO", "GlobalResult", "Graph",
     "InputError", "LabeledGraph", "PackDecision", "PackingCertificate",
-    "PrescribedInstance", "ProductCoordinates", "ProductWitness",
+    "PrescribedInstance", "ProductWitness",
     "RandomGraphSpec",
     "SuiteReport", "cartesian_product",
     "complete", "complete_bipartite", "complete_graph_value",
@@ -48,7 +47,7 @@ __all__ = [
     "k_connectivity_cut", "line_graph", "local_connectivity",
     "local_upper_bound", "min_degree", "natural_iso_check", "net",
     "pack_at_least", "parse_graph", "path", "prescribed_instance",
-    "product_witness", "product_witness_family", "product_witness_graph",
+    "product_witness", "product_witness_graph",
     "run_all", "run_suite",
     "sample_graph", "sample_graphs", "serialize_graph", "serialize_reports",
     "star", "suite_construction", "suite_formulas", "suite_inequalities",

@@ -185,8 +185,6 @@ def _cmd_verify(args) -> int:
             and args.max_n is not None and args.max_n < 4):
         raise InputError("--max-n must be >= 4 for the inequalities suite, "
                          "whose random graphs have at least 4 vertices")
-    if args.count is not None and args.count < 0:
-        raise InputError("--count must be >= 0")
     # an absent option keeps the suite's own default
     opts = {"seed": args.seed, "count": args.count, "max_n": args.max_n,
             "budget_ms": args.budget_ms}

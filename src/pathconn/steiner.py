@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._backend import BACKEND, impl
+from ._backend import impl
 from ._pure import enumerate_trees as _enumerate_trees
 from .graphs import Graph, InputError, components
 
@@ -644,23 +644,29 @@ def global_at_least(g: Graph, k: int, t: int, variant: str,
     Returns "yes", "no", or "unknown".  Much cheaper than an exact global
     scan when only a lower bound needs checking.
     """
+    return _global_at_least(g, k, t, variant, budget_ms)[0]
+
+
+def _global_at_least(g: Graph, k: int, t: int, variant: str,
+                     budget_ms: int | None) -> tuple[str, int]:
+    """global_at_least's answer and the units its pool charged."""
     _check_variant(variant)
     if k < 1 or t < 0:
         raise InputError("k must be >= 1 and t >= 0")
     _check_solver_size(g)
     if t == 0:
-        return "yes"
+        return "yes", 0
     conv = _convention(g, k, variant)
     if conv is not None:
-        return "yes" if conv.value >= t else "no"
+        return ("yes" if conv.value >= t else "no"), 0
     eid = _eid_flat(g)
     pool = WorkBudget(budget_ms)
     for s in combinations(range(g.n), k):
         if pool.exhausted:
-            return "unknown"
+            return "unknown", pool.spent
         if local_upper_bound(g, s, variant) < t:
-            return "no"
+            return "no", pool.spent
         family, proven = _at_least(g, eid, s, variant, t, pool, True)
         if len(family) < t:
-            return "no" if proven else "unknown"
-    return "yes"
+            return ("no" if proven else "unknown"), pool.spent
+    return "yes", pool.spent

@@ -31,7 +31,7 @@ from .invariants import connectivity, edge_connectivity, k_connectivity_cut, min
 from .random_graphs import RandomGraphSpec, sample_graph
 from .steiner import (
     KAPPA, LAMBDA, OMEGA, PI, EXACT,
-    complete_graph_value, global_at_least, global_connectivity, upper_bound,
+    _global_at_least, complete_graph_value, global_connectivity, upper_bound,
 )
 from .transforms import line_graph, natural_iso_check
 from .witness import (complete_graph_witness, prescribed_instance,
@@ -135,7 +135,8 @@ def _one_sided(report: SuiteReport, claim: str, inst: str, relation: str,
     if t <= 0:
         report.record(claim, inst, relation, f"bound {t} <= 0", PASS)
         return
-    ans = global_at_least(g, k, t, variant, budget_ms=budget_ms)
+    ans, units = _global_at_least(g, k, t, variant, budget_ms)
+    report.units += units
     verdict = {"yes": PASS, "no": FAIL, "unknown": INCONCLUSIVE}[ans]
     report.record(claim, inst, relation, f"at-least-{t}: {ans}", verdict)
 
@@ -300,8 +301,14 @@ def _check_min_n(name: str, value: int) -> None:
                          f"suite's random graphs, got {value}")
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
+
+
 def suite_inequalities(seed: int = 1, count: int = 200,
                        n_max: int = _INEQ_MAX_N, m_max: int = 12) -> SuiteReport:
+    _check_count(count)
     _check_min_n("n_max", n_max)
     rep = SuiteReport("inequalities", seed,
                       {"count": count, "n_max": n_max, "m_max": m_max})
@@ -403,6 +410,7 @@ def suite_linegraph(seed: int = 1, count: int = 50,
                     budget_ms: int | None = 20_000) -> SuiteReport:
     """Line-graph checks on count sampled graphs, and double-line-graph
     checks on count * 2 // 5 more (20 at the default 50)."""
+    _check_count(count)
     count_deep = count * 2 // 5
     rep = SuiteReport("line", seed,
                       {"count": count, "count_deep": count_deep,
@@ -502,14 +510,7 @@ def suite_construction(seed: int = 1, pairs=((2, 3), (2, 4), (3, 5)),
                     f"triples={len(triples)} failures={bad} "
                     f"cases[{case_txt}]{first_bad}", bad == 0)
 
-        # beyond 10 base vertices the exact base solve is out of desk range;
-        # budget it and report the lower-bound certificate as inconclusive
-        if rows + cols <= 10:
-            base_budget = None
-        else:
-            base_budget = _CONSTRUCTION_BUDGET_MS if budget_ms is None else budget_ms
-        instd = prescribed_instance(p, q, budget_ms=budget_ms,
-                                    base_budget_ms=base_budget)
+        instd = prescribed_instance(p, q, budget_ms=budget_ms)
         base, ref = instd.base_result, instd.refutation
         rep.units += base.units + ref.units
         if base.status == EXACT:
@@ -560,6 +561,8 @@ def run_suite(name: str, seed: int = 1, count: int | None = None,
     def given(**opts):
         return {key: val for key, val in opts.items() if val is not None}
 
+    if count is not None:
+        _check_count(count)
     if name == "formulas":
         return suite_formulas(**given(max_n=max_n))
     if name == "inequalities":

@@ -7,6 +7,7 @@ triple's shape (how many rows and columns it occupies) to its case and
 builder; column-heavy shapes build in the transposed grid and map back.
 product_witness builds a family and checks it, and prescribed_instance
 always runs its optimality probe; both report what fails, never raise it.
+Only bad p, q or terminals raise (InputError).
 
 verify_family is deliberately naive (set arithmetic on vertices and edges,
 no bitmasks, no shared code with the solvers) so it can vouch for solver
@@ -146,24 +147,6 @@ def complete_graph_witness(n: int, s) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # products of complete graphs
 
-@dataclass(frozen=True)
-class ProductCoordinates:
-    """Row/column coordinates for K_rows x K_cols under flat ids r*cols + c."""
-
-    rows: int
-    cols: int
-
-    def flat(self, r: int, c: int) -> int:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise InputError(f"coordinate ({r}, {c}) out of range")
-        return r * self.cols + c
-
-    def coords(self, v: int) -> tuple[int, int]:
-        if not 0 <= v < self.rows * self.cols:
-            raise InputError(f"vertex {v} out of range")
-        return divmod(v, self.cols)
-
-
 def product_grid(p: int, q: int) -> tuple[int, int]:
     """The (rows, cols) = (2p, 2q - 2p + 2) grid of the construction for (p, q)."""
     if p < 2 or q < p + 1:
@@ -171,15 +154,12 @@ def product_grid(p: int, q: int) -> tuple[int, int]:
     return 2 * p, 2 * q - 2 * p + 2
 
 
+@lru_cache(maxsize=8)
 def product_witness_graph(p: int, q: int) -> LabeledGraph:
-    """The product K_{2p} x K_{2q-2p+2}, labeled with coordinates."""
+    """The product K_{2p} x K_{2q-2p+2}, labeled with coordinates; vertex
+    r * cols + c is cell (r, c).  Cached: the frozen result is shared."""
     rows, cols = product_grid(p, q)
     return cartesian_product(complete(rows), complete(cols))
-
-
-@lru_cache(maxsize=8)
-def _cached_product(p: int, q: int) -> Graph:
-    return product_witness_graph(p, q).graph
 
 
 @dataclass(frozen=True)
@@ -196,34 +176,25 @@ class ProductWitness:
     problems: tuple[str, ...]
 
 
-def _product_triple(p: int, q: int, s):
-    """The product's grid, the validated triple and its coordinates."""
-    rows, cols = product_grid(p, q)
-    grid = ProductCoordinates(rows, cols)
-    s = terminal_set(_cached_product(p, q), s)
-    if len(s) != 3:
-        raise InputError("product construction needs exactly three terminals")
-    return grid, s, [grid.coords(v) for v in s]
-
-
 def product_witness(p: int, q: int, s) -> ProductWitness:
     """Build the family at the triple s and check it; a defective family is
-    reported in problems, never raised."""
-    grid, s, trip = _product_triple(p, q, s)
-    fam = tuple(tuple(grid.flat(r, c) for r, c in pathc)
-                for pathc in _product_family(grid.rows, grid.cols, trip))
+    reported in problems, never raised.  InputError only for bad p, q or s.
+
+    Builder cells are not range-checked: the checker judges the flat family
+    that is returned, so a cell outside the grid is reported wherever its
+    flat id breaks that family.
+    """
+    rows, cols = product_grid(p, q)
+    g = product_witness_graph(p, q).graph
+    s = terminal_set(g, s)
+    if len(s) != 3:
+        raise InputError("product construction needs exactly three terminals")
+    trip = [divmod(v, cols) for v in s]
+    fam = tuple(tuple(r * cols + c for r, c in pathc)
+                for pathc in _product_family(rows, cols, trip))
     problems = [] if len(fam) == q else [f"size {len(fam)} != {q}"]
-    problems += family_violations(_cached_product(p, q), s, fam, PI)
+    problems += family_violations(g, s, fam, PI)
     return ProductWitness(_case(trip)[0], fam, tuple(problems))
-
-
-def product_witness_family(p: int, q: int, s) -> tuple[tuple[int, ...], ...]:
-    """q internally disjoint terminal paths for any triple in K_{2p} x K_{2q-2p+2}
-    (AssertionError if the constructed family fails its check)."""
-    w = product_witness(p, q, s)
-    if w.problems:
-        raise AssertionError(f"invalid constructed family: {w.problems[:3]}")
-    return w.family
 
 
 def _case(trip):
@@ -373,7 +344,8 @@ class PrescribedInstance:
     index-preserving correspondence) carries a constructed family of q
     internally disjoint paths at a solver-chosen triple.  The gap q - p is
     therefore certified as at least prescribed, unless line_problems lists
-    why that family fails its check.
+    why not: a line graph that differs from the product first, then why
+    that family fails its check.
 
     refutation is the optimality probe at that same triple: answer "no"
     pins the local value to exactly q, "yes" shows that it exceeds q (the
@@ -395,38 +367,41 @@ class PrescribedInstance:
 def prescribed_triple(p: int, q: int) -> tuple[int, int, int]:
     """The triple of the product for (p, q) that prescribed_instance certifies
     and probes: the first triple of least local_upper_bound."""
-    g = _cached_product(p, q)
+    g = product_witness_graph(p, q).graph
     return min(combinations(range(g.n), 3),
                key=lambda s: (local_upper_bound(g, s, PI), s))
 
 
-def prescribed_instance(p: int, q: int, budget_ms: int | None = 60_000,
-                        base_budget_ms: int | None = None) -> PrescribedInstance:
+def prescribed_instance(p: int, q: int,
+                        budget_ms: int | None = 60_000) -> PrescribedInstance:
     """Build the instance, certify both values, and probe the q upper bound.
 
     The probe always runs, at budget_ms: it asks whether q + 1 disjoint
-    paths fit at the chosen triple.  A defective family or an unverifiable
-    "yes" is reported in the instance's problem lists, never raised.
-    base_budget_ms caps the exact solve on the bipartite base (needed
-    beyond 10 base vertices, where the result degrades to a lower-bound
-    certificate).
+    paths fit at the chosen triple.  The exact solve on the bipartite base
+    runs unbudgeted up to 10 base vertices and at budget_ms beyond, where
+    it may degrade to a lower-bound certificate.  A line graph that differs
+    from the product, a defective family or an unverifiable "yes" is
+    reported in the instance's problem lists, never raised.
     """
     rows, cols = product_grid(p, q)
     base = complete_bipartite(rows, cols)
-    base_result = global_connectivity(base, 3, PI, budget_ms=base_budget_ms)
+    base_result = global_connectivity(
+        base, 3, PI, budget_ms=None if rows + cols <= 10 else budget_ms)
     line = line_graph(base)
-    lg = line.graph
-    if lg != _cached_product(p, q):
-        raise AssertionError("line graph does not match the product layout")
+    g = product_witness_graph(p, q).graph
     s_star = prescribed_triple(p, q)
     witness = product_witness(p, q, s_star)
+    line_problems = witness.problems
+    if line.graph != g:
+        line_problems = ("line graph does not match the product layout",
+                         *line_problems)
     cert = PackingCertificate(PI, s_star, witness.family, LOWER_BOUND)
-    refutation = pack_at_least(lg, s_star, q + 1, PI, budget_ms=budget_ms)
+    refutation = pack_at_least(g, s_star, q + 1, PI, budget_ms=budget_ms)
     refutation_problems = []
     if refutation.answer == "yes":
         extra = refutation.certificate.family if refutation.certificate else ()
         if len(extra) <= q:
             refutation_problems.append(f"size {len(extra)} <= {q}")
-        refutation_problems += family_violations(lg, s_star, extra, PI)
-    return PrescribedInstance(base, base_result, line, cert, witness.problems,
+        refutation_problems += family_violations(g, s_star, extra, PI)
+    return PrescribedInstance(base, base_result, line, cert, line_problems,
                               refutation, tuple(refutation_problems))

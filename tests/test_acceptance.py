@@ -23,7 +23,7 @@ from pathconn.steiner import (
 )
 from pathconn.transforms import natural_iso_check
 from pathconn.witness import (
-    prescribed_instance, product_witness_family, product_witness_graph,
+    prescribed_instance, product_witness, product_witness_graph,
     verify_family,
 )
 
@@ -110,8 +110,9 @@ def test_criterion_06_product_witness_families(scorecard):
                 seen.add(tuple(sorted(rng.sample(range(g.n), 3))))
             triples = sorted(seen)
         for s in triples:
-            fam = product_witness_family(p, q, s)
-            if len(fam) != q or not verify_family(g, s, fam, PI):
+            w = product_witness(p, q, s)
+            if (w.problems or len(w.family) != q
+                    or not verify_family(g, s, w.family, PI)):
                 bad += 1
         totals[(p, q)] = len(triples)
     elapsed = time.perf_counter() - start

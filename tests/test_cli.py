@@ -177,7 +177,7 @@ def test_verify_honours_explicit_zero_count_and_max_n(tmp_path, capsys):
     assert not [c for c in line["checks"]
                 if c["instance"].startswith(("sample", "deep"))]
     assert main(["verify", "--suite", "line", "--count", "-1"]) == 3
-    assert "--count" in capsys.readouterr().err
+    assert "count must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_rejects_max_n_below_inequality_graphs(capsys):

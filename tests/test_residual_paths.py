@@ -23,14 +23,14 @@ from pathconn.steiner import (
     global_connectivity, local_connectivity, local_upper_bound, pack_at_least,
 )
 from pathconn.suites import _CONSTRUCTION_BUDGET_MS
-from pathconn.witness import (_cached_product, family_violations,
-                              prescribed_triple)
+from pathconn.witness import (family_violations, prescribed_triple,
+                              product_witness_graph)
 
 PAIRS = ((2, 3), (2, 4), (3, 5))
 
 
 def _product(p, q):
-    return _cached_product(p, q), prescribed_triple(p, q)
+    return product_witness_graph(p, q).graph, prescribed_triple(p, q)
 
 
 def _rook(a, b):

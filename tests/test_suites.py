@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import pathconn.steiner as steiner
 import pathconn.suites as suites
 import pathconn.witness as witness
 from pathconn.graphs import InputError
@@ -9,7 +10,7 @@ from pathconn.steiner import (EXACT, LOWER_BOUND, GlobalResult, PackDecision,
                               PackingCertificate)
 from pathconn.suites import (
     FAIL, INCONCLUSIVE, PASS, CheckResult, SuiteReport, exit_code,
-    render_reports, reports_to_dict, run_all, serialize_reports,
+    render_reports, reports_to_dict, run_all, run_suite, serialize_reports,
     suite_construction, suite_formulas, suite_inequalities, suite_linegraph,
 )
 
@@ -113,6 +114,30 @@ def test_small_max_n_is_rejected_by_name():
         run_all(max_n=3)
     with pytest.raises(InputError, match=r"^n_max must be >= 4"):
         suite_inequalities(n_max=3)
+
+
+def test_negative_count_is_rejected_by_name():
+    calls = (lambda: suite_linegraph(count=-5),
+             lambda: suite_inequalities(count=-1),
+             lambda: run_suite("inequalities", count=-1),
+             lambda: run_suite("formulas", count=-1))
+    for call in calls:
+        with pytest.raises(InputError, match=r"^count must be >= 0, got -"):
+            call()
+
+
+def test_line_report_counts_every_unit_it_spends(monkeypatch):
+    """rep.units covers the threshold decisions as well as the exact values."""
+    charged = []
+
+    class CountingBudget(steiner.WorkBudget):
+        def charge(self, units):
+            charged.append(units)
+            super().charge(units)
+
+    monkeypatch.setattr(steiner, "WorkBudget", CountingBudget)
+    rep = suite_linegraph(seed=5, count=3, budget_ms=2_000)
+    assert rep.units == sum(charged) > 0
 
 
 def test_corrupted_solver_is_caught():

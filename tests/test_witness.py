@@ -1,16 +1,19 @@
+import json
 import random
 from itertools import combinations
 
 import pytest
 
 import pathconn.witness as witness
+from pathconn.cli import main
 from pathconn.graphs import InputError, complete, cycle, path
 from pathconn.steiner import (EXACT, KAPPA, LAMBDA, LOWER_BOUND, OMEGA, PI,
                               PackDecision, PackingCertificate)
+from pathconn.suites import FAIL, suite_construction
+from pathconn.transforms import line_graph
 from pathconn.witness import (
-    ProductCoordinates, complete_graph_witness,
-    family_violations, prescribed_instance, product_witness,
-    product_witness_family, product_witness_graph, verify_family,
+    complete_graph_witness, family_violations, prescribed_instance,
+    product_witness, product_witness_graph, verify_family,
 )
 
 CASES = (
@@ -96,21 +99,11 @@ def test_complete_witness_validates_input():
         complete_graph_witness(4, (0, 1, 9))
 
 
-def test_product_coordinates_round_trip():
-    grid = ProductCoordinates(4, 6)
-    for v in range(24):
-        r, c = grid.coords(v)
-        assert grid.flat(r, c) == v
-    with pytest.raises(InputError):
-        grid.flat(4, 0)
-    with pytest.raises(InputError):
-        grid.coords(24)
-
-
 def test_product_graph_shape():
     lg = product_witness_graph(2, 3)
     assert lg.graph.n == 16
     assert set(lg.graph.degrees()) == {6}
+    assert product_witness_graph(2, 3) is lg
     with pytest.raises(InputError):
         product_witness_graph(1, 3)
     with pytest.raises(InputError):
@@ -121,11 +114,11 @@ def test_product_families_exhaustive_at_smallest_size():
     g = product_witness_graph(2, 3).graph
     seen = {}
     for s in combinations(range(16), 3):
-        fam = product_witness_family(2, 3, s)
-        assert len(fam) == 3
-        assert verify_family(g, s, fam, PI), s
-        case = product_witness(2, 3, s).case
-        seen[case] = seen.get(case, 0) + 1
+        w = product_witness(2, 3, s)
+        assert w.problems == (), s
+        assert len(w.family) == 3
+        assert verify_family(g, s, w.family, PI), s
+        seen[w.case] = seen.get(w.case, 0) + 1
     assert set(seen) == set(CASES)
     assert sum(seen.values()) == 560
 
@@ -136,16 +129,19 @@ def test_product_families_sampled_at_larger_sizes():
         g = product_witness_graph(p, q).graph
         for _ in range(120):
             s = tuple(sorted(rng.sample(range(g.n), 3)))
-            fam = product_witness_family(p, q, s)
-            assert len(fam) == q
-            assert verify_family(g, s, fam, PI), (p, q, s)
+            w = product_witness(p, q, s)
+            assert w.problems == (), (p, q, s)
+            assert len(w.family) == q
+            assert verify_family(g, s, w.family, PI), (p, q, s)
 
 
 def test_product_family_validates_input():
     with pytest.raises(InputError):
-        product_witness_family(2, 3, (0, 1))
+        product_witness(2, 3, (0, 1))
     with pytest.raises(InputError):
-        product_witness_family(2, 3, (0, 1, 99))
+        product_witness(2, 3, (0, 1, 99))
+    with pytest.raises(InputError):
+        product_witness(1, 3, (0, 1, 2))
 
 
 def test_prescribed_instance_end_to_end():
@@ -185,9 +181,6 @@ def test_defective_family_is_reported_not_raised(monkeypatch):
     w = product_witness(2, 3, (0, 5, 10))
     assert w.case == "rows-and-columns-distinct"
     assert len(w.family) == 2 and w.problems == ("size 2 != 3",)
-    # the raising entry point keeps its contract
-    with pytest.raises(AssertionError, match="size 2 != 3"):
-        product_witness_family(2, 3, (0, 5, 10))
     inst = prescribed_instance(2, 3, budget_ms=0)
     assert inst.line_problems == ("size 2 != 3",)
 
@@ -203,3 +196,49 @@ def test_unsound_probe_answer_is_reported_not_raised(monkeypatch):
     assert inst.refutation.answer == "yes"
     assert any("share edges" in p for p in inst.refutation_problems)
     assert inst.line_problems == ()
+
+
+def _cell_outside_grid(monkeypatch):
+    """Builders that route the first path through cell (rows, 0), one row
+    below the grid: flat id rows * cols, which is no vertex."""
+    real = witness._product_family
+
+    def build(rows, cols, trip):
+        fam = real(rows, cols, trip)
+        return [[fam[0][0], (rows, 0), *fam[0][1:]], *fam[1:]]
+
+    monkeypatch.setattr(witness, "_product_family", build)
+
+
+def test_out_of_grid_cell_is_reported_not_raised(monkeypatch):
+    _cell_outside_grid(monkeypatch)
+    w = product_witness(2, 3, (0, 5, 10))
+    assert w.case == "rows-and-columns-distinct"
+    assert w.family[0][:2] == (0, 16)
+    assert w.problems == ("member 0: (0, 16) is not an edge of the graph",)
+    inst = prescribed_instance(2, 3, budget_ms=0)
+    assert inst.line_problems and "is not an edge" in inst.line_problems[0]
+
+
+def test_out_of_grid_cell_fails_the_command_and_the_suite(monkeypatch, capsys):
+    _cell_outside_grid(monkeypatch)
+    assert main(["witness", "--p", "2", "--q", "3", "--set", "0,5,10",
+                 "--json"]) == 1
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["valid"] is False and rec["family"][0][:2] == [0, 16]
+    rep = suite_construction(seed=5, pairs=((2, 3),), sample=10,
+                             budget_ms=100)
+    verdicts = {c.claim: c.verdict for c in rep.checks}
+    assert verdicts["product-witness-families"] == FAIL
+    assert verdicts["prescribed-line-certificate"] == FAIL
+
+
+def test_line_graph_that_differs_from_the_product_is_reported(monkeypatch):
+    # the line graph of the base with one edge removed has 15 vertices
+    monkeypatch.setattr(witness, "line_graph",
+                        lambda base: line_graph(base.without_edge(0, 4)))
+    inst = prescribed_instance(2, 3, budget_ms=0)
+    assert inst.line.graph.n == 15
+    assert inst.line_problems == (
+        "line graph does not match the product layout",)
+    assert len(inst.line_certificate.family) == 3

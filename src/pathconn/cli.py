@@ -181,10 +181,6 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if (args.suite in ("inequalities", "all")
-            and args.max_n is not None and args.max_n < 4):
-        raise InputError("--max-n must be >= 4 for the inequalities suite, "
-                         "whose random graphs have at least 4 vertices")
     # an absent option keeps the suite's own default
     opts = {"seed": args.seed, "count": args.count, "max_n": args.max_n,
             "budget_ms": args.budget_ms}

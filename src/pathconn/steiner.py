@@ -15,10 +15,12 @@ with the usual conventions: k = 1 gives the minimum degree, a disconnected
 graph gives 0, and a connected graph with fewer than k vertices gives 1.
 
 Threshold questions (pack_at_least, global_at_least and each step of the
-global scan) are staged by one routine, _at_least.  At a triple of a path
-variant a seeded residual two-path search (_residual_paths) may answer yes
-once a short candidate list turns out to be cut by its cap; only a
-complete enumeration and pack answers no.
+global scan) are staged by one routine, _at_least, in the same order for
+every caller.  Once a short candidate list turns out to be cut by its cap,
+the terminal set picks one cheap attempt: a seeded residual two-path search
+(_residual_paths) at a triple of a path variant, a pack of the cut list
+anywhere else.  Either may answer yes; only a complete enumeration and pack
+answers no.
 
 Budgets are deterministic work units (see _pure); budget_ms is converted at
 a fixed rate so identical inputs give identical outputs on any machine.
@@ -34,6 +36,7 @@ from itertools import combinations
 from ._backend import impl
 from ._pure import enumerate_trees as _enumerate_trees
 from .graphs import Graph, InputError, components
+from .invariants import connectivity, edge_connectivity
 
 PI, OMEGA, KAPPA, LAMBDA = "pi", "omega", "kappa", "lambda"
 VARIANTS = (PI, OMEGA, KAPPA, LAMBDA)
@@ -225,7 +228,6 @@ def upper_bound(g: Graph, k: int, variant: str) -> int:
         raise InputError("k must be >= 1")
     if g.n == 0:
         raise InputError("graph has no vertices")
-    from .invariants import connectivity, edge_connectivity
     conv = _convention(g, k, variant)
     if conv is not None:
         return conv.value
@@ -248,12 +250,6 @@ def upper_bound(g: Graph, k: int, variant: str) -> int:
     return max(bound, 0)
 
 
-def _enumerate(g: Graph, smask: int, tree: bool, cap: int, budget: int):
-    if tree:
-        return _enumerate_trees(g.n, g.masks, g.edges, smask, cap, budget)
-    return impl.enumerate_paths(g.n, g.masks, smask, cap, budget)
-
-
 def enumerate_minimal_spaths(g: Graph, s, *, budget_ms: int | None = None):
     """All minimal terminal paths for s, canonical order.
 
@@ -261,22 +257,24 @@ def enumerate_minimal_spaths(g: Graph, s, *, budget_ms: int | None = None):
     stopped enumeration before it was exhaustive.
     """
     s = _local_terminals(g, s)
-    paths, complete, _ = _enumerate(g, _smask(s), False, DEFAULT_CAP,
-                                    WorkBudget(budget_ms).left)
+    paths, complete = _candidates(g, s, PI, WorkBudget(budget_ms), DEFAULT_CAP)
     return tuple(paths), not complete
 
 
 def enumerate_minimal_strees(g: Graph, s, *, budget_ms: int | None = None):
     """All minimal terminal trees for s (edge tuples), canonical order."""
     s = _local_terminals(g, s)
-    trees, complete, _ = _enumerate(g, _smask(s), True, DEFAULT_CAP,
-                                    WorkBudget(budget_ms).left)
+    trees, complete = _candidates(g, s, KAPPA, WorkBudget(budget_ms), DEFAULT_CAP)
     return tuple(trees), not complete
 
 
 def _candidates(g: Graph, s, variant, pool: WorkBudget, cap: int):
     """At most cap candidates for s, charged to pool: (cands, complete)."""
-    cands, complete, units = _enumerate(g, _smask(s), _TREE[variant], cap, pool.left)
+    smask = _smask(s)
+    if _TREE[variant]:
+        cands, complete, units = _enumerate_trees(g.n, g.masks, g.edges, smask, cap, pool.left)
+    else:
+        cands, complete, units = impl.enumerate_paths(g.n, g.masks, smask, cap, pool.left)
     pool.charge(units)
     return cands, complete
 
@@ -302,17 +300,6 @@ def _pack(g: Graph, eid, s, variant, pool: WorkBudget, cands, enum_complete: boo
     return tuple(cands[i] for i in sel), pack_complete and enum_complete
 
 
-def _enumerate_and_pack(g: Graph, eid, s, variant, pool: WorkBudget,
-                        target: int, decide: bool):
-    """List at most DEFAULT_CAP candidates for s, then pack them toward target.
-
-    Both stages are charged to pool; the pack gets what listing left.
-    Returns (family, proven) as _pack does.
-    """
-    cands, enum_complete = _candidates(g, s, variant, pool, DEFAULT_CAP)
-    return _pack(g, eid, s, variant, pool, cands, enum_complete, target, decide)
-
-
 _SHORT_CAP = 256  # candidates a threshold question lists before looking further
 _RESIDUAL_DRAWS = 3  # weight draws the residual search tries
 
@@ -322,19 +309,16 @@ def _residual_stage(s, variant) -> bool:
     return len(s) == 3 and not _TREE[variant]
 
 
-def _at_least(g: Graph, eid, s, variant, goal: int, pool: WorkBudget, pack_cut: bool):
+def _at_least(g: Graph, eid, s, variant, goal: int, pool: WorkBudget):
     """Stage the question whether s carries goal disjoint members.
 
-    1. At a triple of a path variant, and at every set when pack_cut is
-       set, list the first _SHORT_CAP candidates.  When that list is
-       complete or the pool is spent, packing it settles the question.
-    2. When pack_cut is set, pack the cut list toward goal.
-    3. At a triple of a path variant, run _residual_paths.
-    4. On a miss, list and pack DEFAULT_CAP candidates with what the pool
+    1. List the first _SHORT_CAP candidates.  When that list is complete
+       or the pool is spent, packing it settles the question.
+    2. Make one cheap attempt, chosen by s: _residual_paths at a triple of
+       a path variant (see _residual_stage), a pack of the cut list toward
+       goal at any other set.
+    3. On a miss, list and pack DEFAULT_CAP candidates with what the pool
        has left.
-    The global scans set pack_cut, as there the short pack hits at sets
-    where the search misses; pack_at_least does not, as packing a cut
-    list toward goal can spend its whole budget.
 
     The caller has checked local_upper_bound(g, s, variant) >= goal.
     Returns (family, proven) as _pack does: family has goal members or is
@@ -342,23 +326,17 @@ def _at_least(g: Graph, eid, s, variant, goal: int, pool: WorkBudget, pack_cut: 
     """
     if goal == 0:
         return (), False
-    found = ()
-    residual = _residual_stage(s, variant)
-    if pack_cut or residual:
-        cands, enum_complete = _candidates(g, s, variant, pool, _SHORT_CAP)
-        if enum_complete or pool.exhausted:
-            return _pack(g, eid, s, variant, pool, cands, enum_complete, goal, True)
-        if pack_cut:
-            found, _ = _pack(g, eid, s, variant, pool, cands, False, goal, True)
-            if len(found) >= goal:
-                return found, False
-        if residual:
-            family = _residual_paths(g, s, goal, variant, pool)
-            if family:
-                return family, False
-        if pool.exhausted:
-            return found, False
-    family, proven = _enumerate_and_pack(g, eid, s, variant, pool, goal, True)
+    cands, complete = _candidates(g, s, variant, pool, _SHORT_CAP)
+    if complete or pool.exhausted:
+        return _pack(g, eid, s, variant, pool, cands, complete, goal, True)
+    if _residual_stage(s, variant):
+        found = _residual_paths(g, s, goal, variant, pool)
+    else:
+        found, _ = _pack(g, eid, s, variant, pool, cands, False, goal, True)
+    if len(found) >= goal or pool.exhausted:
+        return found, False
+    cands, complete = _candidates(g, s, variant, pool, DEFAULT_CAP)
+    family, proven = _pack(g, eid, s, variant, pool, cands, complete, goal, True)
     return max(found, family, key=len), proven
 
 
@@ -532,7 +510,8 @@ def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget,
     """
     if pool.exhausted:
         return PackingCertificate(variant, s, (), LOWER_BOUND)
-    family, proven = _enumerate_and_pack(g, eid, s, variant, pool, ub, False)
+    cands, complete = _candidates(g, s, variant, pool, DEFAULT_CAP)
+    family, proven = _pack(g, eid, s, variant, pool, cands, complete, ub, False)
     if not family:
         status = ZERO if proven else LOWER_BOUND
     else:
@@ -560,7 +539,7 @@ def pack_at_least(g: Graph, s, t: int, variant: str,
     if local_upper_bound(g, s, variant) < t:
         return PackDecision("no", None, 0)
     pool = WorkBudget(budget_ms)
-    family, proven = _at_least(g, _eid_flat(g), s, variant, t, pool, False)
+    family, proven = _at_least(g, _eid_flat(g), s, variant, t, pool)
     cert = PackingCertificate(variant, s, family, LOWER_BOUND) if family else None
     answer = "yes" if len(family) >= t else "no" if proven else "unknown"
     return PackDecision(answer, cert, pool.spent)
@@ -622,7 +601,7 @@ def global_connectivity(g: Graph, k: int, variant: str,
         # sets come in ascending bound order and best_val is a proven value
         # at an earlier set, so best_val <= that set's bound <= ub here
         if best_val is not None:
-            family, proven = _at_least(g, eid, s, variant, best_val, pool, True)
+            family, proven = _at_least(g, eid, s, variant, best_val, pool)
             if not proven:
                 low = min(low, len(family))
                 continue
@@ -666,7 +645,7 @@ def _global_at_least(g: Graph, k: int, t: int, variant: str,
             return "unknown", pool.spent
         if local_upper_bound(g, s, variant) < t:
             return "no", pool.spent
-        family, proven = _at_least(g, eid, s, variant, t, pool, True)
+        family, proven = _at_least(g, eid, s, variant, t, pool)
         if len(family) < t:
             return ("no" if proven else "unknown"), pool.spent
     return "yes", pool.spent

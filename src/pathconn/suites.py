@@ -566,8 +566,10 @@ def run_suite(name: str, seed: int = 1, count: int | None = None,
     if name == "formulas":
         return suite_formulas(**given(max_n=max_n))
     if name == "inequalities":
-        n_max = None if max_n is None else min(max_n, _INEQ_MAX_N)
-        return suite_inequalities(seed, **given(count=count, n_max=n_max))
+        if max_n is not None:
+            _check_min_n("max_n", max_n)
+            max_n = min(max_n, _INEQ_MAX_N)
+        return suite_inequalities(seed, **given(count=count, n_max=max_n))
     if name == "line":
         return suite_linegraph(seed, **given(count=count, budget_ms=budget_ms))
     if name == "construction":

@@ -183,7 +183,7 @@ def test_verify_honours_explicit_zero_count_and_max_n(tmp_path, capsys):
 def test_verify_rejects_max_n_below_inequality_graphs(capsys):
     for suite in ("inequalities", "all"):
         assert main(["verify", "--suite", suite, "--max-n", "3"]) == 3
-        assert "--max-n" in capsys.readouterr().err
+        assert "max_n must be >= 4" in capsys.readouterr().err
 
 
 def test_entry_point_requires_subcommand():

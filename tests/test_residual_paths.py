@@ -1,13 +1,14 @@
 """The residual two-path search of pathconn.steiner (_residual_paths).
 
 At a triple of a path variant, steiner._at_least runs this search for
-pack_at_least and the global scans once their short candidate list is
-cut by its cap.  These tests pin what the search may and may not do:
+every threshold question, pack_at_least and the global scans alike, once
+its short candidate list is cut by its cap; at any other set it packs
+that list instead.  These tests pin what the search may and may not do:
 every family it returns is a valid disjoint family of the size asked
 for, two runs agree in every detail, it never spends more than its pool
-holds, and finding nothing never turns into a "no".  The global scans
-reach the stage with the real cap only on graphs of 15 or more vertices,
-so their tests lower the cap to reach it on small graphs.
+holds, and finding nothing never turns into a "no".  A scan reaches the
+search only at triples with more than 256 candidates (K7 has them, K6
+does not), so the scan tests lower the cap to reach it on small graphs.
 """
 
 import hashlib

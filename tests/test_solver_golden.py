@@ -12,7 +12,8 @@ conventions, budgets 0, 1, 2 and 100 and ones that stop a global scan
 part way, thresholds below, at and above local_upper_bound, and
 thresholds at and above the global value.  A few pack_at_least probes
 list more than 256 candidates, so they reach the residual two-path
-search at a triple and the single DEFAULT_CAP listing off triples.
+search at a triple, and off triples a pack of the cut 256-list before
+the DEFAULT_CAP listing.
 
 Regenerate the records, only for a change meant to alter results, with
 
@@ -155,7 +156,7 @@ def _cases():
     # probes whose candidate lists outgrow the first 256: the search hits
     # on K3xK3 (on its third weight draw) and misses on K7-e, where the
     # DEFAULT_CAP pack answers yes for omega and a proven no for pi; K7
-    # at four terminals lists 1,272 candidates in one phase
+    # at four terminals (1,272 candidates) answers yes from its cut 256-list
     k7e = complete(7).without_edge(0, 1)
     probes = [("K3xK3", cartesian_product(complete(3), complete(3)).graph,
                (0, 1, 3), 3, "pi"),

@@ -7,7 +7,7 @@ from oracle import (
     all_terminal_paths, all_terminal_trees, naive_global_value,
     naive_local_value,
 )
-from pathconn import _pure
+from pathconn import _pure, steiner
 from pathconn.graphs import Graph, InputError, complete, complete_bipartite, cycle, net, path, star
 from pathconn.invariants import connectivity, edge_connectivity
 from pathconn.random_graphs import RandomGraphSpec, sample_graphs
@@ -175,6 +175,16 @@ def test_global_at_least_agrees_with_global_value():
             assert global_at_least(g, 3, 0, variant) == "yes"
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("t", (1, 2))
+@pytest.mark.parametrize("g", (complete(7), complete_bipartite(3, 4), complete(6)),
+                         ids=("K7", "K3,4", "K6"))
+def test_every_caller_stages_a_set_the_same_way(g, t, variant):
+    # with k = n the global scan has one terminal set, the one pack_at_least gets
+    dec = pack_at_least(g, range(g.n), t, variant)
+    assert steiner._global_at_least(g, g.n, t, variant, None) == (dec.answer, dec.units)
+
+
 def test_budget_zero_degrades_to_lower_bound():
     g = complete(6)
     res = global_connectivity(g, 3, PI, budget_ms=0)
@@ -217,7 +227,7 @@ def test_enumeration_budget_reports_truncation():
 
 @pytest.mark.parametrize("cap", [1, 5, 256])
 def test_path_cap_keeps_a_prefix(cap):
-    # the global solvers first pack the first 256 paths of the full list
+    # every threshold question first lists the first 256 paths of the full list
     g, smask, huge = complete(7), 0b111, 1 << 62
     full, complete_, _ = _pure.enumerate_paths(g.n, g.masks, smask, huge, huge)
     assert complete_ and len(full) > 256

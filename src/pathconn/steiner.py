@@ -22,6 +22,14 @@ the terminal set picks one cheap attempt: a seeded residual two-path search
 anywhere else.  Either may answer yes; only a complete enumeration and pack
 answers no.
 
+The global scans (global_connectivity, global_at_least) visit one terminal
+set per orbit of the automorphisms that _symmetry finds: the
+lexicographically smallest.  An automorphism keeps every local value and
+bound, and that set comes first of its orbit in either scan's order, so
+without a budget the scans return the value, terminals and witness of a
+scan of every k-set (short of a DEFAULT_CAP listing that a set's labels
+cut).  The search's units are charged to the scan's pool.
+
 Budgets are deterministic work units (see _pure); budget_ms is converted at
 a fixed rate so identical inputs give identical outputs on any machine.
 """
@@ -574,7 +582,8 @@ def _convention(g: Graph, k: int, variant: str) -> GlobalResult | None:
 def global_connectivity(g: Graph, k: int, variant: str,
                         budget_ms: int | None = None) -> GlobalResult:
     """Minimum local value over all k-subsets, with the conventions of
-    _convention for k = 1, k > n and disconnected graphs."""
+    _convention for k = 1, k > n and disconnected graphs; one set per
+    orbit is solved."""
     _check_variant(variant)
     if k < 1:
         raise InputError("k must be >= 1")
@@ -583,16 +592,20 @@ def global_connectivity(g: Graph, k: int, variant: str,
     if conv is not None:
         return conv
 
+    # loaded on first use, so that a process that makes no global scan
+    # does not load it at start-up
+    from . import _symmetry
+
     eid = _eid_flat(g)
-    # each terminal set's bound, computed once; scan by (bound, set)
+    pool = WorkBudget(budget_ms)
+    # one set per orbit, each set's bound computed once; scan by (bound, set)
     subsets = sorted((local_upper_bound(g, s, variant), s)
-                     for s in combinations(range(g.n), k))
+                     for s in _symmetry.representatives(g, k, pool))
 
     best_val: int | None = None
     best_s: tuple[int, ...] | None = None
     best_cert: PackingCertificate | None = None
     low: int | None = None  # smallest lower bound over the sets scanned
-    pool = WorkBudget(budget_ms)
 
     for ub, s in subsets:
         if pool.exhausted:
@@ -638,9 +651,11 @@ def _global_at_least(g: Graph, k: int, t: int, variant: str,
     conv = _convention(g, k, variant)
     if conv is not None:
         return ("yes" if conv.value >= t else "no"), 0
+    from . import _symmetry  # loaded on first use, as in global_connectivity
+
     eid = _eid_flat(g)
     pool = WorkBudget(budget_ms)
-    for s in combinations(range(g.n), k):
+    for s in _symmetry.representatives(g, k, pool):
         if pool.exhausted:
             return "unknown", pool.spent
         if local_upper_bound(g, s, variant) < t:

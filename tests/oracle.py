@@ -13,7 +13,7 @@ same order, so this copy is the reference for order, caps and budgets.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from pathconn.graphs import Graph
 
@@ -174,6 +174,15 @@ def naive_edge_connectivity(g: Graph) -> int:
             if not _connected(sub, set(range(g.n))):
                 return r
     return g.m
+
+
+def naive_orbit_count(g: Graph, k: int) -> int:
+    """Number of orbits of Aut(g) on k-sets, by trying every permutation."""
+    edges = set(g.edges)
+    auts = [p for p in permutations(range(g.n))
+            if all(tuple(sorted((p[u], p[v]))) in edges for u, v in g.edges)]
+    return len({frozenset(tuple(sorted(p[v] for v in s)) for p in auts)
+                for s in combinations(range(g.n), k)})
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,14 @@ def generators(g, pool) -> list[tuple[int, ...]]:
 
     def fresh(cell, fixed, tried):
         # the vertices of cell in no orbit of tried under the generators
-        # that fix every vertex of fixed; each is added to tried in turn
+        # that fix every vertex of fixed; each is added to tried in turn.
+        # The orbits change only when the caller's search between two
+        # yields adds a generator.
+        known = -1
         for w in cell:
-            orbit = _orbits(n, [h for h in gens if all(h[v] == v for v in fixed)])
+            if known != len(gens):
+                known = len(gens)
+                orbit = _orbits(n, [h for h in gens if all(h[v] == v for v in fixed)])
             if all(orbit[w] != orbit[x] for x in tried):
                 tried.append(w)
                 yield w

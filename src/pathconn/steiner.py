@@ -20,7 +20,10 @@ every caller.  Once a short candidate list turns out to be cut by its cap,
 the terminal set picks one cheap attempt: a seeded residual two-path search
 (_residual_paths) at a triple of a path variant, a pack of the cut list
 anywhere else.  Either may answer yes; only a complete enumeration and pack
-answers no.
+answers no.  An exact solve (_local_solve) at such a triple runs the search
+first, for as many paths as its proven upper bound allows: a hit meets the
+bound and so is exact with no listing, and a miss falls through to listing
+and packing DEFAULT_CAP candidates.
 
 The global scans (global_connectivity, global_at_least) visit one terminal
 set per orbit of the automorphisms that _symmetry finds: the
@@ -515,9 +518,17 @@ def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget,
 
     ub is a proven upper bound on the local value at s: at most
     local_upper_bound(g, s, variant), lower when the caller knows more.
+    At a triple of a path variant (see _residual_stage) the residual search
+    looks for ub members first; a hit reaches the bound, so it is exact.
+    A miss, or a search that spent the pool, proves nothing and falls
+    through to listing DEFAULT_CAP candidates and packing them.
     """
     if pool.exhausted:
         return PackingCertificate(variant, s, (), LOWER_BOUND)
+    if ub >= 1 and _residual_stage(s, variant):
+        family = _residual_paths(g, s, ub, variant, pool)
+        if family:
+            return PackingCertificate(variant, s, family, EXACT)
     cands, complete = _candidates(g, s, variant, pool, DEFAULT_CAP)
     family, proven = _pack(g, eid, s, variant, pool, cands, complete, ub, False)
     if not family:

@@ -3,19 +3,25 @@
 At a triple of a path variant, steiner._at_least runs this search for
 every threshold question, pack_at_least and the global scans alike, once
 its short candidate list is cut by its cap; at any other set it packs
-that list instead.  These tests pin what the search may and may not do:
-every family it returns is a valid disjoint family of the size asked
-for, two runs agree in every detail, it never spends more than its pool
-holds, and finding nothing never turns into a "no".  A scan reaches the
-search only at triples with more than 256 candidates (K7 has them, K6
-does not), so the scan tests lower the cap to reach it on small graphs.
+that list instead.  An exact solve (local_connectivity, and a global
+scan's first set) runs it for as many paths as the bound allows before it
+lists anything, since a hit there proves the value.  These tests pin what
+the search may and may not do: every family it returns is a valid
+disjoint family of the size asked for, two runs agree in every detail, it
+never spends more than its pool holds, and finding nothing never turns
+into a "no" or changes an exact value.  A scan's threshold question
+reaches the search only at triples with more than 256 candidates (K7 has
+them, K6 does not), so the scan tests lower the cap to reach it on small
+graphs.
 """
 
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
 
+from oracle import naive_local_value
 from pathconn import steiner
 from pathconn.graphs import Graph, complete
 from pathconn.random_graphs import RandomGraphSpec, sample_graphs
@@ -26,6 +32,7 @@ from pathconn.steiner import (
 from pathconn.suites import _CONSTRUCTION_BUDGET_MS
 from pathconn.witness import (family_violations, prescribed_triple,
                               product_witness_graph)
+from test_steiner import _oracle_graphs
 
 PAIRS = ((2, 3), (2, 4), (3, 5))
 
@@ -172,13 +179,35 @@ def test_a_miss_falls_back_to_listing_and_packing(search_log):
     assert family_violations(g, s, dec.certificate.family, OMEGA) == []
 
 
+def test_local_values_at_triples_do_not_depend_on_the_search(monkeypatch, search_log):
+    # local_connectivity runs the search for ub paths at a triple before it
+    # lists; a hit must give the value that listing and packing give, and
+    # a miss must still reach it
+    graphs = _oracle_graphs(seed=20, count=12) + [complete(5).without_edge(0, 1)]
+    cases = [(g, s, variant) for g in graphs for s in combinations(range(g.n), 3)
+             for variant in (PI, OMEGA)]
+    with_search = [local_connectivity(g, s, variant) for g, s, variant in cases]
+    assert any(search_log) and () in search_log
+    monkeypatch.setattr(steiner, "_residual_stage", lambda s, variant: False)
+    search_log.clear()
+    for (g, s, variant), cert in zip(cases, with_search):
+        off = local_connectivity(g, s, variant)
+        assert (cert.value, cert.status) == (off.value, off.status), (g.edges, s, variant)
+        assert cert.value == naive_local_value(g, s, variant)
+        assert family_violations(g, s, cert.family, variant) == []
+    assert search_log == []
+
+
 def test_a_miss_still_reaches_a_proven_no(search_log):
-    # the local pi value at this triple of K7 - e is 3, below its bound 4
+    # the local pi value at this triple of K7 - e is 3, below its bound 4:
+    # local_connectivity and pack_at_least each run the search for 4
+    # paths, miss, and prove the value by listing and packing
     g, s = complete(7).without_edge(0, 1), (0, 1, 2)
     assert local_upper_bound(g, s, PI) == 4
-    assert local_connectivity(g, s, PI).value == 3
+    cert = local_connectivity(g, s, PI)
+    assert (cert.value, cert.status) == (3, "exact")
     assert pack_at_least(g, s, 4, PI).answer == "no"
-    assert search_log == [()]
+    assert search_log == [(), ()]
 
 
 @pytest.mark.parametrize("variant", (PI, OMEGA))
@@ -187,13 +216,18 @@ def test_a_miss_still_reaches_a_proven_no(search_log):
 def test_global_scans_agree_with_scans_without_the_search(monkeypatch, search_log,
                                                           g, variant):
     # with a short list of 8 candidates the global scans' threshold
-    # questions reach the search at most triples; every hit must leave the
-    # scan's answer as it is without the search
+    # questions reach the search at most triples, and the exact solve of
+    # the first triple runs it too, so the exact certificate may be the
+    # search's family; every hit must leave the scan's value, status,
+    # terminals and answers as they are without the search, with a family
+    # of the same size that verifies
     monkeypatch.setattr(steiner, "_SHORT_CAP", 8)
 
     def scans():
         res = global_connectivity(g, 3, variant)
-        return (res.value, res.status, res.terminals, res.certificate,
+        family = res.certificate.family
+        assert family_violations(g, res.terminals, family, variant) == []
+        return (res.value, res.status, res.terminals, len(family),
                 [global_at_least(g, 3, t, variant) for t in (res.value, res.value + 1)])
 
     with_search = scans()
@@ -204,3 +238,41 @@ def test_global_scans_agree_with_scans_without_the_search(monkeypatch, search_lo
     search_log.clear()
     assert scans() == with_search
     assert search_log == []
+
+
+def _relabelled_rook(a, b, seed):
+    """K_a x K_b relabelled by a seeded permutation, and that permutation."""
+    perm = list(range(a * b))
+    random.Random(seed).shuffle(perm)
+    g = _rook(a, b)
+    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges)), perm
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_the_search_proves_a_local_value_that_reaches_its_bound(monkeypatch, seed):
+    # K4 x K4 = L(K4,4): at a triple in one row, and at one in three rows
+    # and columns, the pi bound is 4 and the search finds 4 paths within
+    # 10 ms (5,000 units); without the search, listing and packing cannot
+    # prove 4 within that budget (they take about 6M units)
+    g, perm = _relabelled_rook(4, 4, seed)
+    triples = [tuple(sorted(perm[v] for v in s)) for s in ((0, 1, 2), (0, 5, 10))]
+    for s in triples:
+        assert local_upper_bound(g, s, PI) == 4
+        cert = local_connectivity(g, s, PI, budget_ms=10)
+        assert (cert.value, cert.status) == (4, "exact")
+        assert family_violations(g, s, cert.family, PI) == []
+    monkeypatch.setattr(steiner, "_residual_stage", lambda s, variant: False)
+    for s in triples:
+        assert local_connectivity(g, s, PI, budget_ms=10).status == "lower-bound"
+
+
+@pytest.mark.parametrize("seed", (None, 1, 97))
+def test_a_budgeted_global_scan_of_the_rook_graph_is_exact(seed):
+    # the first set of the scan is solved exactly by the search, and the
+    # other three orbits reach 4 by their threshold questions, all within
+    # the 50,000 units of 100 ms
+    g = _rook(4, 4) if seed is None else _relabelled_rook(4, 4, seed)[0]
+    res = global_connectivity(g, 3, PI, budget_ms=100)
+    assert (res.value, res.status) == (4, "exact")
+    assert res.units <= 50_000
+    assert family_violations(g, res.terminals, res.certificate.family, PI) == []

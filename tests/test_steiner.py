@@ -133,13 +133,13 @@ def test_certificates_verify_and_match_value():
 
 
 def test_local_upper_bound_is_sound():
-    rng = random.Random(16)
-    for g in _oracle_graphs(seed=16, count=10, m_max=8):
-        for k in (2, 3):
-            s = tuple(sorted(rng.sample(range(g.n), k)))
-            for variant in VARIANTS:
-                assert naive_local_value(g, s, variant) <= local_upper_bound(
-                    g, s, variant)
+    dense = [complete(5), complete(5).without_edge(0, 1), complete_bipartite(3, 3)]
+    for g in _oracle_graphs(seed=16, count=40) + dense:
+        for k in (2, 3, 4):
+            for s in combinations(range(g.n), k):
+                for variant in VARIANTS:
+                    assert naive_local_value(g, s, variant) <= local_upper_bound(
+                        g, s, variant), (g.edges, s, variant)
 
 
 def test_global_upper_bound_is_sound():

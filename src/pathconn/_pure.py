@@ -1,9 +1,12 @@
 """Pure-Python search kernels.
 
 This module is the reference twin of the compiled kernel (_kernel.pyx).
-Both must visit search nodes in exactly the same order and count work units
-at exactly the same points, so that values, witness families, completion
-flags, and budget cutoffs agree bit-for-bit across backends.
+Both must visit search nodes in exactly the same order, count work units
+at exactly the same points and return the same outputs, so that values,
+witness families, completion flags, and budget cutoffs agree bit-for-bit
+across backends.  The contract does not cover loop shape: a twin may walk
+neighbour lists where the other scans bitmasks, or settle a level in place
+where the other pushes it, as long as nodes, unit points and outputs agree.
 
 Work units are abstract: one unit per path-extension attempt, per tree
 search node, per extra-vertex set considered, per packing candidate scan.
@@ -29,42 +32,77 @@ def enumerate_paths(n, adj, smask, cap, budget):
     adj: neighbor bitmasks.  smask: terminal bitmask with >= 2 bits.
     Returns (paths, complete, units); complete is False when the cap or the
     budget stopped enumeration early.
+
+    For each length and each terminal start, a depth-bounded search grows
+    the path.  Each node on the path keeps an iterator over its sorted
+    neighbour list, so the next extension is the next neighbour not on the
+    path.  Every extension attempt costs one unit.  An attempt is pushed
+    only while the terminals still off the path fit in the steps left
+    (the count of them is kept as the path grows and shrinks).  The last
+    level, a node at depth length - 1, is settled in place: its attempts
+    are counted one by one, and a path is emitted when the attempt closes
+    on the one terminal still off the path, above the start.  No leaf is
+    pushed.  The compiled kernel pushes that leaf and tests it; both count
+    the same units at the same attempts and emit the same paths.
     """
+    nbrs = [[w for w in range(n) if (adj[v] >> w) & 1] for v in range(n)]
+    term = [(smask >> v) & 1 for v in range(n)]
+    terms = [v for v in range(n) if term[v]]
+    k = len(terms)
     units = 0
     out = []
-    terms = [v for v in range(n) if (smask >> v) & 1]
-    k = len(terms)
+    on = [False] * n  # on the current path
     for length in range(k - 1, n):
+        last = length - 1
         for s in terms:
             seq = [s]
-            used = 1 << s
-            cur = [0]
-            while seq:
+            on[s] = True
+            left = k - 1  # terminals not on the path
+            its = [iter(nbrs[s])]
+            while its:
                 depth = len(seq) - 1
-                if depth == length:
-                    t = seq[-1]
-                    if t > s and (smask >> t) & 1 and (smask & ~used) == 0:
-                        out.append(tuple(seq))
+                if depth < last:
+                    room = length - depth - 1
+                    for w in its[-1]:
+                        if on[w]:
+                            continue
+                        units += 1
+                        if units >= budget:
+                            return out, False, units
+                        tw = term[w]
+                        if left - tw > room:
+                            continue
+                        seq.append(w)
+                        on[w] = True
+                        left -= tw
+                        its.append(iter(nbrs[w]))
+                        break
+                    else:
+                        its.pop()
+                        v = seq.pop()
+                        on[v] = False
+                        left += term[v]
+                    continue
+                # the last level: only the one terminal off the path, above
+                # the start, closes a path
+                close = -1
+                if left == 1:
+                    close = next(t for t in terms if not on[t])
+                    if close < s:
+                        close = -1
+                for w in its.pop():
+                    if on[w]:
+                        continue
+                    units += 1
+                    if units >= budget:
+                        return out, False, units
+                    if w == close:
+                        out.append((*seq, w))
                         if len(out) >= cap:
                             return out, False, units
-                    used &= ~(1 << seq.pop())
-                    cur.pop()
-                    continue
-                rest = (adj[seq[-1]] & ~used) >> cur[-1]
-                if rest == 0:
-                    used &= ~(1 << seq.pop())
-                    cur.pop()
-                    continue
-                w = cur[-1] + (rest & -rest).bit_length() - 1
-                cur[-1] = w + 1
-                units += 1
-                if units >= budget:
-                    return out, False, units
-                if (smask & ~used & ~(1 << w)).bit_count() > length - depth - 1:
-                    continue
-                seq.append(w)
-                used |= 1 << w
-                cur.append(0)
+                v = seq.pop()
+                on[v] = False
+                left += term[v]
     return out, True, units
 
 

@@ -6,9 +6,10 @@ terminal trees by scanning all edge subsets, packing by exhaustive
 include/skip search, and cut-based connectivity by removing every subset.
 Slow on purpose; only run at small scale.
 
-The one exception is at the end: the package's original tree enumerator,
-copied unchanged.  The pruned enumerator must list the same trees in the
-same order, so this copy is the reference for order, caps and budgets.
+The exceptions are at the end: the package's original path and tree
+enumerators, copied unchanged.  The rewritten enumerators must list the
+same paths and trees in the same order, so these copies are the reference
+for order, caps and budgets.
 """
 
 from __future__ import annotations
@@ -183,6 +184,54 @@ def naive_orbit_count(g: Graph, k: int) -> int:
             if all(tuple(sorted((p[u], p[v]))) in edges for u, v in g.edges)]
     return len({frozenset(tuple(sorted(p[v] for v in s)) for p in auts)
                 for s in combinations(range(g.n), k)})
+
+
+# ---------------------------------------------------------------------------
+# the original path enumerator, kept unchanged as the order and unit reference
+
+def enumerate_paths(n, adj, smask, cap, budget):
+    """Enumerate terminal paths in increasing (length, start, sequence) order.
+
+    adj: neighbor bitmasks.  smask: terminal bitmask with >= 2 bits.
+    Returns (paths, complete, units); complete is False when the cap or the
+    budget stopped enumeration early.
+    """
+    units = 0
+    out = []
+    terms = [v for v in range(n) if (smask >> v) & 1]
+    k = len(terms)
+    for length in range(k - 1, n):
+        for s in terms:
+            seq = [s]
+            used = 1 << s
+            cur = [0]
+            while seq:
+                depth = len(seq) - 1
+                if depth == length:
+                    t = seq[-1]
+                    if t > s and (smask >> t) & 1 and (smask & ~used) == 0:
+                        out.append(tuple(seq))
+                        if len(out) >= cap:
+                            return out, False, units
+                    used &= ~(1 << seq.pop())
+                    cur.pop()
+                    continue
+                rest = (adj[seq[-1]] & ~used) >> cur[-1]
+                if rest == 0:
+                    used &= ~(1 << seq.pop())
+                    cur.pop()
+                    continue
+                w = cur[-1] + (rest & -rest).bit_length() - 1
+                cur[-1] = w + 1
+                units += 1
+                if units >= budget:
+                    return out, False, units
+                if (smask & ~used & ~(1 << w)).bit_count() > length - depth - 1:
+                    continue
+                seq.append(w)
+                used |= 1 << w
+                cur.append(0)
+    return out, True, units
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from pathconn.random_graphs import RandomGraphSpec, sample_graphs
 from pathconn.steiner import (
     VARIANTS, _INTERNAL, _TREE, _eid_flat, _smask, local_upper_bound,
 )
+from test_path_order import CUT_CASES, cut_points
 
 _kernel = pytest.importorskip(
     "pathconn._kernel", reason="compiled kernel not built")
@@ -48,6 +49,15 @@ def test_path_enumeration_parity_including_truncation():
         sm = _smask(s)
         for cap, budget in ((200_000, HUGE), (5, HUGE), (200_000, 29),
                             (200_000, 1), (200_000, 0)):
+            a = _pure.enumerate_paths(g.n, g.masks, sm, cap, budget)
+            b = _kernel.enumerate_paths(g.n, g.masks, sm, cap, budget)
+            assert a == b, (g.edges, s, cap, budget)
+
+
+def test_path_enumeration_parity_at_every_cut_point():
+    for g, s in CUT_CASES:
+        sm = _smask(s)
+        for cap, budget in cut_points(g, s):
             a = _pure.enumerate_paths(g.n, g.masks, sm, cap, budget)
             b = _kernel.enumerate_paths(g.n, g.masks, sm, cap, budget)
             assert a == b, (g.edges, s, cap, budget)

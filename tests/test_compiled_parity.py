@@ -3,10 +3,11 @@
 A test run that imports pathconn from src/ without building it has no
 compiled kernel, so tests/test_backends.py skips there.  This test builds
 the shipped _kernel.c in a temporary copy of the source tree, then runs
-the parity, golden-record and residual-search modules against that build in a
-subprocess with PATHCONN_BACKEND=compiled.  It fails if that run skips
-anything, skips only when no C compiler is found, and writes nothing
-under src/.
+the parity, golden-record, residual-search and path-order modules against
+that build in a subprocess with PATHCONN_BACKEND=compiled; the path-order
+module holds the build to the original path enumerator in oracle.py.  It
+fails if that run skips anything, skips only when no C compiler is found,
+and writes nothing under src/.
 """
 
 import os
@@ -19,7 +20,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("test_backends.py", "test_solver_golden.py", "test_residual_paths.py")
+MODULES = ("test_backends.py", "test_solver_golden.py", "test_residual_paths.py",
+           "test_path_order.py")
 KERNEL = "_kernel" + sysconfig.get_config_var("EXT_SUFFIX")
 
 

@@ -14,16 +14,16 @@ The global value is the minimum of the local values over all k-subsets,
 with the usual conventions: k = 1 gives the minimum degree, a disconnected
 graph gives 0, and a connected graph with fewer than k vertices gives 1.
 
-Threshold questions (pack_at_least, global_at_least and each step of the
-global scan) are staged by one routine, _at_least, in the same order for
-every caller.  Once a short candidate list turns out to be cut by its cap,
-the terminal set picks one cheap attempt: a seeded residual two-path search
-(_residual_paths) at a triple of a path variant, a pack of the cut list
-anywhere else.  Either may answer yes; only a complete enumeration and pack
-answers no.  An exact solve (_local_solve) at such a triple runs the search
-first, for as many paths as its proven upper bound allows: a hit meets the
-bound and so is exact with no listing, and a miss falls through to listing
-and packing DEFAULT_CAP candidates.
+Threshold questions (pack_at_least, global_at_least) are staged by one
+routine, _at_least, in the same order for both callers.  Once a short
+candidate list turns out to be cut by its cap, the terminal set picks one
+cheap attempt: a seeded residual two-path search (_residual_paths) at a
+triple of a path variant, a pack of the cut list anywhere else.  Either
+may answer yes; only a complete enumeration and pack answers no.  Exact
+solves (local_connectivity and every set of global_connectivity's scan)
+are staged by _local_solve: at such a triple it runs the search first, for
+as many paths as its cap allows, and a hit meets the cap with no listing;
+a miss falls through to listing and packing DEFAULT_CAP candidates.
 
 The global scans (global_connectivity, global_at_least) visit one terminal
 set per orbit of the automorphisms that _symmetry finds: the
@@ -321,8 +321,10 @@ def _residual_stage(s, variant) -> bool:
 
 
 def _at_least(g: Graph, eid, s, variant, goal: int, pool: WorkBudget):
-    """Stage the question whether s carries goal disjoint members.
+    """Stage the question whether s carries goal >= 1 disjoint members.
 
+    0. When local_upper_bound(g, s, variant) is below goal, the answer is
+       a proven no with no work.
     1. List the first _SHORT_CAP candidates.  When that list is complete
        or the pool is spent, packing it settles the question.
     2. Make one cheap attempt, chosen by s: _residual_paths at a triple of
@@ -331,12 +333,11 @@ def _at_least(g: Graph, eid, s, variant, goal: int, pool: WorkBudget):
     3. On a miss, list and pack DEFAULT_CAP candidates with what the pool
        has left.
 
-    The caller has checked local_upper_bound(g, s, variant) >= goal.
     Returns (family, proven) as _pack does: family has goal members or is
     the largest found, and proven means that no family reaches goal.
     """
-    if goal == 0:
-        return (), False
+    if local_upper_bound(g, s, variant) < goal:
+        return (), True
     cands, complete = _candidates(g, s, variant, pool, _SHORT_CAP)
     if complete or pool.exhausted:
         return _pack(g, eid, s, variant, pool, cands, complete, goal, True)
@@ -516,16 +517,26 @@ def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget,
                  ub: int) -> PackingCertificate:
     """Exact-intent local solve; degrades to lower-bound on budget expiry.
 
-    ub is a proven upper bound on the local value at s: at most
-    local_upper_bound(g, s, variant), lower when the caller knows more.
+    ub caps the search: no member past the ub-th is looked for.  It is
+    either a proven upper bound on the local value at s (at most
+    local_upper_bound(g, s, variant)), or, in a global scan, the least
+    value proven so far, which only a smaller value at s can improve on.
+    A cap of 0 is always a proven bound, as a scan stops at its first
+    zero, so it settles s as zero without listing.
     At a triple of a path variant (see _residual_stage) the residual search
-    looks for ub members first; a hit reaches the bound, so it is exact.
-    A miss, or a search that spent the pool, proves nothing and falls
+    looks for ub members first; a hit reaches the cap, so it is exact.  A
+    miss, or a search that spent the pool, proves nothing and falls
     through to listing DEFAULT_CAP candidates and packing them.
+
+    A family of ub members has status exact.  Under a proven bound that is
+    the local value; under a scan's least value it only means "not below
+    ub", and the scan keeps no such certificate.
     """
     if pool.exhausted:
         return PackingCertificate(variant, s, (), LOWER_BOUND)
-    if ub >= 1 and _residual_stage(s, variant):
+    if ub == 0:
+        return PackingCertificate(variant, s, (), ZERO)
+    if _residual_stage(s, variant):
         family = _residual_paths(g, s, ub, variant, pool)
         if family:
             return PackingCertificate(variant, s, family, EXACT)
@@ -555,8 +566,6 @@ def pack_at_least(g: Graph, s, t: int, variant: str,
     s = _local_terminals(g, s)
     if t < 1:
         raise InputError("t must be >= 1")
-    if local_upper_bound(g, s, variant) < t:
-        return PackDecision("no", None, 0)
     pool = WorkBudget(budget_ms)
     family, proven = _at_least(g, _eid_flat(g), s, variant, t, pool)
     cert = PackingCertificate(variant, s, family, LOWER_BOUND) if family else None
@@ -623,17 +632,14 @@ def global_connectivity(g: Graph, k: int, variant: str,
             # the sets not scanned have lower bound 0
             return GlobalResult(variant, k, 0, LOWER_BOUND, best_s, best_cert, pool.spent)
         # sets come in ascending bound order and best_val is a proven value
-        # at an earlier set, so best_val <= that set's bound <= ub here
-        if best_val is not None:
-            family, proven = _at_least(g, eid, s, variant, best_val, pool)
-            if not proven:
-                low = min(low, len(family))
-                continue
-            ub = best_val - 1
-        cert = _local_solve(g, eid, s, variant, pool, ub)
+        # at an earlier set, so best_val <= that set's bound <= ub here: a
+        # set that reaches best_val cannot lower the minimum
+        cert = _local_solve(g, eid, s, variant, pool, ub if best_val is None else best_val)
         low = cert.value if low is None else min(low, cert.value)
         if cert.status in (EXACT, ZERO) and (best_val is None or cert.value < best_val):
             best_val, best_s, best_cert = cert.value, s, cert
+            if best_val == 0:
+                break
 
     # best_val is one of the lower bounds, so it is the value iff it is the least
     status = EXACT if low == best_val else LOWER_BOUND
@@ -669,8 +675,6 @@ def _global_at_least(g: Graph, k: int, t: int, variant: str,
     for s in _symmetry.representatives(g, k, pool):
         if pool.exhausted:
             return "unknown", pool.spent
-        if local_upper_bound(g, s, variant) < t:
-            return "no", pool.spent
         family, proven = _at_least(g, eid, s, variant, t, pool)
         if len(family) < t:
             return ("no" if proven else "unknown"), pool.spent

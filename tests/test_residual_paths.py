@@ -1,17 +1,19 @@
 """The residual two-path search of pathconn.steiner (_residual_paths).
 
 At a triple of a path variant, steiner._at_least runs this search for
-every threshold question, pack_at_least and the global scans alike, once
-its short candidate list is cut by its cap; at any other set it packs
-that list instead.  An exact solve (local_connectivity, and a global
-scan's first set) runs it for as many paths as the bound allows before it
-lists anything, since a hit there proves the value.  These tests pin what
-the search may and may not do: every family it returns is a valid
-disjoint family of the size asked for, two runs agree in every detail, it
-never spends more than its pool holds, and finding nothing never turns
-into a "no" or changes an exact value.  A scan's threshold question
-reaches the search only at triples with more than 256 candidates (K7 has
-them, K6 does not), so the scan tests lower the cap to reach it on small
+every threshold question (pack_at_least, global_at_least) once its short
+candidate list is cut by its cap; at any other set it packs that list
+instead.  An exact solve (local_connectivity, and every set of a
+global_connectivity scan) runs it before it lists anything, for as many
+paths as its cap allows: the proven bound, or in a scan after the first
+set the least value so far.  A hit there proves the value, or that the
+set cannot lower the scan's minimum.  These tests pin what the search
+may and may not do: every family it returns is a valid disjoint family
+of the size asked for, two runs agree in every detail, it never spends
+more than its pool holds, and finding nothing never turns into a "no" or
+changes an exact value.  A threshold question reaches the search only at
+triples with more than 256 candidates (K7 has them, K6 does not), so the
+scan tests lower the cap to reach it from global_at_least on small
 graphs.
 """
 
@@ -215,10 +217,10 @@ def test_a_miss_still_reaches_a_proven_no(search_log):
                          ids=("K6", "K7-e", "K2xK4"))
 def test_global_scans_agree_with_scans_without_the_search(monkeypatch, search_log,
                                                           g, variant):
-    # with a short list of 8 candidates the global scans' threshold
-    # questions reach the search at most triples, and the exact solve of
-    # the first triple runs it too, so the exact certificate may be the
-    # search's family; every hit must leave the scan's value, status,
+    # global_connectivity runs the search first at every triple it solves,
+    # so the exact certificate may be the search's family; with a short
+    # list of 8 candidates, global_at_least's threshold questions reach
+    # the search too; every hit must leave the scan's value, status,
     # terminals and answers as they are without the search, with a family
     # of the same size that verifies
     monkeypatch.setattr(steiner, "_SHORT_CAP", 8)

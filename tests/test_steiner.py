@@ -12,11 +12,12 @@ from pathconn.graphs import Graph, InputError, complete, complete_bipartite, cyc
 from pathconn.invariants import connectivity, edge_connectivity
 from pathconn.random_graphs import RandomGraphSpec, sample_graphs
 from pathconn.steiner import (
-    EXACT, KAPPA, LAMBDA, LOWER_BOUND, OMEGA, PI, VARIANTS, ZERO,
+    EXACT, KAPPA, LAMBDA, LOWER_BOUND, OMEGA, PI, VARIANTS, ZERO, WorkBudget,
     complete_graph_value, enumerate_minimal_spaths, enumerate_minimal_strees,
     global_at_least, global_connectivity, local_connectivity,
     local_upper_bound, pack_at_least, terminal_set, upper_bound,
 )
+from pathconn.transforms import line_graph
 from pathconn.witness import family_violations
 
 
@@ -101,11 +102,64 @@ def test_conventions():
         assert res.terminals is not None
 
 
-def test_star_has_no_triple_path():
+def test_star_has_no_triple_path(calls):
     res = global_connectivity(star(4), 3, PI)
     assert res.value == 0 and res.status == EXACT
+    calls["_candidates"].clear()
     cert = local_connectivity(star(4), (1, 2, 3), PI)
     assert cert.value == 0 and cert.status == ZERO
+    # the bound there is 0, which settles the set without listing
+    assert calls["_candidates"] == []
+
+
+def _scan_graphs():
+    """K7, K4,4, L(K4), the net, star(4) and the golden file's two random graphs."""
+    spec = RandomGraphSpec(n_min=5, n_max=6, m_min=5, m_max=9, requirement="connected")
+    named = [("K7", complete(7)), ("K4,4", complete_bipartite(4, 4)),
+             ("L(K4)", line_graph(complete(4)).graph), ("net", net()), ("star4", star(4))]
+    return named + [(f"random{i}", g)
+                    for i, g in enumerate(sample_graphs(spec, seed=2016, count=2))]
+
+
+_SCAN_GRAPHS = _scan_graphs()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """(terminal set, result) of every call to _at_least, _local_solve and
+    _candidates, by name, in call order."""
+    log = {"_at_least": [], "_local_solve": [], "_candidates": []}
+
+    def logged(name):
+        inner = getattr(steiner, name)
+
+        def call(g, *args):
+            out = inner(g, *args)
+            log[name].append((args[1] if name != "_candidates" else args[0], out))
+            return out
+        monkeypatch.setattr(steiner, name, call)
+
+    for name in log:
+        logged(name)
+    return log
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("g", [g for _, g in _SCAN_GRAPHS], ids=[n for n, _ in _SCAN_GRAPHS])
+def test_the_global_scan_solves_each_orbit_set_once(calls, g, variant):
+    from pathconn import _symmetry
+    for k in (2, 3, 4):
+        for log in calls.values():
+            log.clear()
+        res = global_connectivity(g, k, variant)
+        assert res.status == EXACT
+        assert calls["_at_least"] == []
+        solved = [s for s, _ in calls["_local_solve"]]
+        assert len(solved) == len(set(solved))
+        assert set(solved) <= set(_symmetry.representatives(g, k, WorkBudget(None)))
+        # the scan stops at its first zero
+        zeros = [i for i, (_, cert) in enumerate(calls["_local_solve"]) if cert.value == 0]
+        assert zeros == ([len(solved) - 1] if res.value == 0 else [])
 
 
 def test_complete_graph_formula_small():

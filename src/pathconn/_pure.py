@@ -5,8 +5,11 @@ Both must visit search nodes in exactly the same order, count work units
 at exactly the same points and return the same outputs, so that values,
 witness families, completion flags, and budget cutoffs agree bit-for-bit
 across backends.  The contract does not cover loop shape: a twin may walk
-neighbour lists where the other scans bitmasks, or settle a level in place
-where the other pushes it, as long as nodes, unit points and outputs agree.
+neighbour lists where the other scans bitmasks, settle a level in place
+where the other pushes it, or count a level's attempts in one popcount
+where the other counts them one by one, as long as nodes, unit points and
+outputs agree (a cut inside a level counted at once returns the units of
+the attempt it stops at).
 
 Work units are abstract: one unit per path-extension attempt, per tree
 search node, per extra-vertex set considered, per packing candidate scan.
@@ -38,12 +41,21 @@ def enumerate_paths(n, adj, smask, cap, budget):
     neighbour list, so the next extension is the next neighbour not on the
     path.  Every extension attempt costs one unit.  An attempt is pushed
     only while the terminals still off the path fit in the steps left
-    (the count of them is kept as the path grows and shrinks).  The last
-    level, a node at depth length - 1, is settled in place: its attempts
-    are counted one by one, and a path is emitted when the attempt closes
-    on the one terminal still off the path, above the start.  No leaf is
-    pushed.  The compiled kernel pushes that leaf and tests it; both count
-    the same units at the same attempts and emit the same paths.
+    (the count of them is kept as the path grows and shrinks).
+
+    A child w that would land at depth length - 1, the last level, is
+    settled in place from its parent, with the path kept also as a
+    bitmask.  Its attempts are its neighbours off the path (free), counted
+    at once by popcount.  The one terminal still off the path closes a
+    path when it lies above the start and in free; its attempt comes right
+    after those of the free neighbours below it.  A cut inside the level
+    returns the units of the attempt it stops at: a budget cut returns
+    budget before that attempt tests for the close, and a cap cut returns
+    the closing attempt's count.  Neither w nor a leaf is pushed.  At
+    length 1 (k = 2) the start itself is the last level, and its attempts
+    are counted one by one.  The compiled kernel pushes every node and
+    counts each attempt; both count the same units at the same attempts
+    and emit the same paths.
     """
     nbrs = [[w for w in range(n) if (adj[v] >> w) & 1] for v in range(n)]
     term = [(smask >> v) & 1 for v in range(n)]
@@ -53,56 +65,63 @@ def enumerate_paths(n, adj, smask, cap, budget):
     out = []
     on = [False] * n  # on the current path
     for length in range(k - 1, n):
-        last = length - 1
         for s in terms:
+            if length == 1:
+                # k == 2: the start is the last level; it closes on the
+                # other terminal when that lies above it
+                close = terms[1] if s == terms[0] else -1
+                for w in nbrs[s]:
+                    units += 1
+                    if units >= budget:
+                        return out, False, units
+                    if w == close:
+                        out.append((s, w))
+                        if len(out) >= cap:
+                            return out, False, units
+                continue
             seq = [s]
             on[s] = True
+            onmask = 1 << s  # the same path as a bitmask
             left = k - 1  # terminals not on the path
             its = [iter(nbrs[s])]
             while its:
-                depth = len(seq) - 1
-                if depth < last:
-                    room = length - depth - 1
-                    for w in its[-1]:
-                        if on[w]:
-                            continue
-                        units += 1
-                        if units >= budget:
-                            return out, False, units
-                        tw = term[w]
-                        if left - tw > room:
-                            continue
-                        seq.append(w)
-                        on[w] = True
-                        left -= tw
-                        its.append(iter(nbrs[w]))
-                        break
-                    else:
-                        its.pop()
-                        v = seq.pop()
-                        on[v] = False
-                        left += term[v]
-                    continue
-                # the last level: only the one terminal off the path, above
-                # the start, closes a path
-                close = -1
-                if left == 1:
-                    close = next(t for t in terms if not on[t])
-                    if close < s:
-                        close = -1
-                for w in its.pop():
+                room = length - len(seq)
+                for w in its[-1]:
                     if on[w]:
                         continue
                     units += 1
                     if units >= budget:
                         return out, False, units
-                    if w == close:
-                        out.append((*seq, w))
-                        if len(out) >= cap:
-                            return out, False, units
-                v = seq.pop()
-                on[v] = False
-                left += term[v]
+                    tw = term[w]
+                    if left - tw > room:
+                        continue
+                    if room > 1:
+                        seq.append(w)
+                        on[w] = True
+                        onmask |= 1 << w
+                        left -= tw
+                        its.append(iter(nbrs[w]))
+                        break
+                    # w is on the last level: its attempts are its free
+                    # neighbours, and only the one terminal still off the
+                    # path (left - tw <= room == 1), above the start, closes
+                    free = adj[w] & ~onmask
+                    close = (smask & ~onmask & ~(1 << w)).bit_length() - 1
+                    if close > s and (free >> close) & 1:
+                        at = units + (free & ((1 << close) - 1)).bit_count() + 1
+                        if at < budget:
+                            out.append((*seq, w, close))
+                            if len(out) >= cap:
+                                return out, False, at
+                    units += free.bit_count()
+                    if units >= budget:
+                        return out, False, budget
+                else:
+                    its.pop()
+                    v = seq.pop()
+                    on[v] = False
+                    onmask ^= 1 << v
+                    left += term[v]
     return out, True, units
 
 
@@ -250,6 +269,7 @@ def _span_trees(sub, nu, umask, xset, out, cap, budget, units):
         return st
 
     st = rec(0)
+    del rec  # rec refers to itself: break the cycle so its state goes now
     return st == 0, units
 
 
@@ -393,4 +413,5 @@ def solve_pack(n, m, eid, cands, is_tree, smask, internal, slots_per, zcap,
         return 0
 
     status = rec(0)
+    del rec  # rec refers to itself: break the cycle so its state goes now
     return best, best_sel, status == 0, units

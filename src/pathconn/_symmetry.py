@@ -146,6 +146,9 @@ def generators(g, pool) -> list[tuple[int, ...]]:
                 leads_to_leaf(_child(g, cells, i, w, pool), depth + 1, fixed + (w,))
     except _Spent:
         pass
+    finally:
+        # leads_to_leaf refers to itself: break the cycle so its state goes now
+        del leads_to_leaf
     return gens
 
 

@@ -1,10 +1,10 @@
 """The path enumerator against the original one kept in oracle.py.
 
 The rewritten enumerator walks neighbour lists and settles its last level
-in place, but it must emit the same paths in the same order and count the
-same units at the same extension attempts.  So (paths, complete, units)
-must equal the original's at every cap and every budget, cut-offs
-included.  The selected backend's kernel is checked too when it is not the
+in place from neighbour bitmasks, but it must emit the same paths in the
+same order and count the same units at the same extension attempts.  So
+(paths, complete, units) must equal the original's at every cap and every
+budget, cut-offs included.  The selected backend's kernel is checked too when it is not the
 pure one, so a compiled build is held to the original, not only to its
 pure twin.
 """
@@ -27,11 +27,16 @@ KERNELS = [_pure] if impl is _pure else [_pure, impl]
 KERNEL_IDS = [kernel.BACKEND_NAME for kernel in KERNELS]
 
 # small instances swept at every cut point: every budget from 0 to the
-# complete run's units + 1, and every cap from 1 to its path count + 1
+# complete run's units + 1, and every cap from 1 to its path count + 1.
+# On K6 and L(K4) the last level's nodes have several free neighbours with
+# the closing terminal among them; the k = 2 case has paths of length 1.
 CUT_CASES = (
     (complete(5), (0, 1, 2)),
     (complete_bipartite(3, 4), (0, 1, 3, 4)),
     (cycle(8), (0, 3, 5)),
+    (complete(6), (0, 1, 2)),
+    (line_graph(complete(4)).graph, (0, 2, 5)),
+    (complete_bipartite(3, 3), (0, 3)),
 )
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -322,3 +323,16 @@ def test_tree_values_dominate_path_values():
                 <= local_connectivity(g, s, KAPPA).value)
         assert (local_connectivity(g, s, OMEGA).value
                 <= local_connectivity(g, s, LAMBDA).value)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_solve_leaves_no_garbage_cycles(variant):
+    # the searches free their state when they return, so a global scan
+    # (symmetry search, listing, packing) leaves nothing for the cyclic GC
+    gc.collect()
+    gc.disable()
+    try:
+        global_connectivity(complete_bipartite(3, 3), 3, variant)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -14,16 +14,20 @@ The global value is the minimum of the local values over all k-subsets,
 with the usual conventions: k = 1 gives the minimum degree, a disconnected
 graph gives 0, and a connected graph with fewer than k vertices gives 1.
 
-Threshold questions (pack_at_least, global_at_least) are staged by one
-routine, _at_least, in the same order for both callers.  Once a short
-candidate list turns out to be cut by its cap, the terminal set picks one
-cheap attempt: a seeded residual two-path search (_residual_paths) at a
-triple of a path variant, a pack of the cut list anywhere else.  Either
-may answer yes; only a complete enumeration and pack answers no.  Exact
-solves (local_connectivity and every set of global_connectivity's scan)
-are staged by _local_solve: at such a triple it runs the search first, for
-as many paths as its cap allows, and a hit meets the cap with no listing;
-a miss falls through to listing and packing DEFAULT_CAP candidates.
+A question of one (does s carry one member?) is answered by _first,
+which lists a single candidate: the threshold questions with goal 1 and
+the exact solves capped at 1 ask it, and nothing else runs for them.
+Threshold questions (pack_at_least, global_at_least) of 2 or more are
+staged by one routine, _at_least, in the same order for both callers.
+Once a short candidate list turns out to be cut by its cap, the terminal
+set picks one cheap attempt: a seeded residual two-path search
+(_residual_paths) at a triple of a path variant, a pack of the cut list
+anywhere else.  Either may answer yes; only a complete enumeration and
+pack answers no.  Exact solves (local_connectivity and every set of
+global_connectivity's scan) capped at 2 or more are staged by
+_local_solve: at such a triple it runs the search first, for as many
+paths as its cap allows, and a hit meets the cap with no listing; a miss
+falls through to listing and packing DEFAULT_CAP candidates.
 
 The global scans (global_connectivity, global_at_least) visit one terminal
 set per orbit of the automorphisms that _symmetry finds: the
@@ -311,6 +315,18 @@ def _pack(g: Graph, eid, s, variant, pool: WorkBudget, cands, enum_complete: boo
     return tuple(cands[i] for i in sel), pack_complete and enum_complete
 
 
+def _first(g: Graph, s, variant, pool: WorkBudget):
+    """Answer whether s carries one member by listing one candidate.
+
+    Returns (family, proven) as _pack does at target 1: the candidate
+    listed is the member, the one a pack of any list would take first; an
+    empty list proves that there is none only when it is complete, not
+    when the pool cut it.
+    """
+    cands, complete = _candidates(g, s, variant, pool, 1)
+    return tuple(cands), complete
+
+
 _SHORT_CAP = 256  # candidates a threshold question lists before looking further
 _RESIDUAL_DRAWS = 3  # weight draws the residual search tries
 
@@ -324,7 +340,8 @@ def _at_least(g: Graph, eid, s, variant, goal: int, pool: WorkBudget):
     """Stage the question whether s carries goal >= 1 disjoint members.
 
     0. When local_upper_bound(g, s, variant) is below goal, the answer is
-       a proven no with no work.
+       a proven no with no work.  A goal of 1 is answered by _first, and
+       the steps below serve goals of 2 or more.
     1. List the first _SHORT_CAP candidates.  When that list is complete
        or the pool is spent, packing it settles the question.
     2. Make one cheap attempt, chosen by s: _residual_paths at a triple of
@@ -338,6 +355,8 @@ def _at_least(g: Graph, eid, s, variant, goal: int, pool: WorkBudget):
     """
     if local_upper_bound(g, s, variant) < goal:
         return (), True
+    if goal == 1:
+        return _first(g, s, variant, pool)
     cands, complete = _candidates(g, s, variant, pool, _SHORT_CAP)
     if complete or pool.exhausted:
         return _pack(g, eid, s, variant, pool, cands, complete, goal, True)
@@ -522,11 +541,13 @@ def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget,
     local_upper_bound(g, s, variant)), or, in a global scan, the least
     value proven so far, which only a smaller value at s can improve on.
     A cap of 0 is always a proven bound, as a scan stops at its first
-    zero, so it settles s as zero without listing.
-    At a triple of a path variant (see _residual_stage) the residual search
-    looks for ub members first; a hit reaches the cap, so it is exact.  A
-    miss, or a search that spent the pool, proves nothing and falls
-    through to listing DEFAULT_CAP candidates and packing them.
+    zero, so it settles s as zero without listing, and a cap of 1 is
+    settled by _first, which lists one candidate.
+    At a cap of 2 or more, at a triple of a path variant (see
+    _residual_stage) the residual search looks for ub members first; a hit
+    reaches the cap, so it is exact.  A miss, or a search that spent the
+    pool, proves nothing and falls through to listing DEFAULT_CAP
+    candidates and packing them.
 
     A family of ub members has status exact.  Under a proven bound that is
     the local value; under a scan's least value it only means "not below
@@ -536,12 +557,15 @@ def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget,
         return PackingCertificate(variant, s, (), LOWER_BOUND)
     if ub == 0:
         return PackingCertificate(variant, s, (), ZERO)
-    if _residual_stage(s, variant):
-        family = _residual_paths(g, s, ub, variant, pool)
-        if family:
-            return PackingCertificate(variant, s, family, EXACT)
-    cands, complete = _candidates(g, s, variant, pool, DEFAULT_CAP)
-    family, proven = _pack(g, eid, s, variant, pool, cands, complete, ub, False)
+    if ub == 1:
+        family, proven = _first(g, s, variant, pool)
+    else:
+        if _residual_stage(s, variant):
+            family = _residual_paths(g, s, ub, variant, pool)
+            if family:
+                return PackingCertificate(variant, s, family, EXACT)
+        cands, complete = _candidates(g, s, variant, pool, DEFAULT_CAP)
+        family, proven = _pack(g, eid, s, variant, pool, cands, complete, ub, False)
     if not family:
         status = ZERO if proven else LOWER_BOUND
     else:

@@ -10,10 +10,11 @@ every call that differs.
 The cases cover all four variants, the k = 1, k > n and disconnected
 conventions, budgets 0, 1, 2 and 100 and ones that stop a global scan
 part way, thresholds below, at and above local_upper_bound, and
-thresholds at and above the global value.  A few pack_at_least probes
-list more than 256 candidates, so they reach the residual two-path
-search at a triple, and off triples a pack of the cut 256-list before
-the DEFAULT_CAP listing.
+thresholds at and above the global value.  A threshold of 1 lists one
+candidate.  A few pack_at_least probes, at thresholds of 2 or more, list
+more than 256 candidates, so they reach the residual two-path search at
+a triple, and off triples a pack of the cut 256-list before the
+DEFAULT_CAP listing.
 
 Regenerate the records, only for a change meant to alter results, with
 

@@ -11,9 +11,10 @@ from oracle import (
 from pathconn import _pure, steiner
 from pathconn.graphs import Graph, InputError, complete, complete_bipartite, cycle, net, path, star
 from pathconn.invariants import connectivity, edge_connectivity
-from pathconn.random_graphs import RandomGraphSpec, sample_graphs
+from pathconn.random_graphs import RandomGraphSpec, sample_graph, sample_graphs
 from pathconn.steiner import (
-    EXACT, KAPPA, LAMBDA, LOWER_BOUND, OMEGA, PI, VARIANTS, ZERO, WorkBudget,
+    EXACT, KAPPA, LAMBDA, LOWER_BOUND, OMEGA, PI, VARIANTS, ZERO,
+    PackingCertificate, WorkBudget,
     complete_graph_value, enumerate_minimal_spaths, enumerate_minimal_strees,
     global_at_least, global_connectivity, local_connectivity,
     local_upper_bound, pack_at_least, terminal_set, upper_bound,
@@ -161,6 +162,58 @@ def test_the_global_scan_solves_each_orbit_set_once(calls, g, variant):
         # the scan stops at its first zero
         zeros = [i for i, (_, cert) in enumerate(calls["_local_solve"]) if cert.value == 0]
         assert zeros == ([len(solved) - 1] if res.value == 0 else [])
+
+
+def _one_graphs():
+    """K4, C5, K2,3, star(4), the net and the inequality suite's first
+    three sampled graphs at seed 1."""
+    spec = RandomGraphSpec(n_min=4, n_max=7, m_min=3, m_max=12, requirement="connected")
+    rng = random.Random(1)
+    named = [("K4", complete(4)), ("C5", cycle(5)), ("K2,3", complete_bipartite(2, 3)),
+             ("star4", star(4)), ("net", net())]
+    return named + [(f"sample{i}", sample_graph(spec, rng)) for i in range(3)]
+
+
+_ONE_GRAPHS = _one_graphs()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("g", [g for _, g in _ONE_GRAPHS], ids=[n for n, _ in _ONE_GRAPHS])
+def test_a_question_of_one_takes_the_first_candidate(monkeypatch, g, variant):
+    # a goal of 1, or an exact solve capped at 1, lists one candidate: the
+    # first of the full list is the member, and an empty list proves none
+    monkeypatch.setattr(steiner, "UNITS_PER_MS", 1)  # budget_ms counts units
+    listing = enumerate_minimal_strees if variant in (KAPPA, LAMBDA) else enumerate_minimal_spaths
+    for k in (2, 3, 4):
+        for s in combinations(range(g.n), k):
+            first = listing(g, s)[0][:1]
+            dec = pack_at_least(g, s, 1, variant)
+            assert dec.answer == ("yes" if first else "no")
+            assert dec.answer == ("yes" if naive_local_value(g, s, variant) >= 1 else "no")
+            assert (dec.certificate.family if first else dec.certificate) == (first or None)
+            # it spends what listing one candidate spends (nothing under a bound of 0)
+            bound = local_upper_bound(g, s, variant)
+            pool = WorkBudget(None)
+            if bound:
+                steiner._candidates(g, s, variant, pool, 1)
+            assert dec.units == pool.spent
+            one = bound == 1
+            if one:
+                cert = local_connectivity(g, s, variant)
+                assert (cert.family, cert.status) == (first, EXACT if first else ZERO)
+            # a budget of b units buys b - 1 attempts, so the listing needs
+            # one unit more than it spends; short of that nothing is proven
+            for b in range(dec.units + 2):
+                short = b <= dec.units and dec.units > 0
+                got = pack_at_least(g, s, 1, variant, budget_ms=b)
+                if short:
+                    assert (got.answer, got.certificate) == ("unknown", None)
+                else:
+                    assert got == dec
+                if one:
+                    got = local_connectivity(g, s, variant, budget_ms=b)
+                    assert got == (PackingCertificate(variant, s, (), LOWER_BOUND)
+                                   if short else cert)
 
 
 def test_complete_graph_formula_small():

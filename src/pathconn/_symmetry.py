@@ -15,10 +15,20 @@ is kept only if it maps the edge set onto itself.  At every node, of the
 children in one orbit of the generators that fix the node's
 individualised vertices, only the first is tried.
 
-The search charges its pool one unit per adjacency entry or edge it
-reads and stops once the pool is spent, keeping the generators found so
-far: any set of automorphisms gives orbits on which the values are
-constant.
+Vertex sets are bitmasks.  Refinement counts a vertex's neighbours in
+the splitter as the popcount of its neighbour mask and the splitter's
+mask, and leaves singleton and unsplit cells as they are.  The orbit
+test at a node reads one mask, the union of the orbits of the children
+already tried under the generators that fix the node's individualised
+vertices; it grows as a child is tried and is rebuilt only when a
+generator joins.  An orbit of k-sets is closed over k-set masks, the
+image of a set under a generator h being the OR of 1 << h[v].
+
+The search charges its pool the splitter's degree sum at each refinement
+step and the edge count at each leaf it checks, one unit per adjacency
+entry or edge that a search on neighbour lists would read, and stops
+once the pool is spent, keeping the generators found so far: any set of
+automorphisms gives orbits on which the values are constant.
 """
 
 from __future__ import annotations
@@ -45,22 +55,29 @@ def _refine(g, cells: list, stale: list, pool) -> list:
     depends on the cells' positions, never on vertex labels.  Of the
     fragments of a cell already used as a splitter, the first largest
     needs no use of its own (Hopcroft)."""
-    adj = g.adj
+    adj, masks = g.adj, g.masks
     while True in stale:
         i = stale.index(True)
         stale[i] = False
-        _charge(pool, sum(len(adj[v]) for v in cells[i]))
-        hits = [0] * g.n
+        units, splitter = 0, 0
         for v in cells[i]:
-            for u in adj[v]:
-                hits[u] += 1
+            units += len(adj[v])
+            splitter |= 1 << v
+        _charge(pool, units)
         out, out_stale = [], []
         for cell, st in zip(cells, stale):
-            counts = sorted({hits[v] for v in cell})
-            parts = [tuple(v for v in cell if hits[v] == c) for c in counts]
-            big = max(range(len(parts)), key=lambda j: len(parts[j]))
-            out += parts
-            out_stale += [st or j != big for j in range(len(parts))]
+            if len(cell) > 1:
+                hits = [(masks[v] & splitter).bit_count() for v in cell]
+                counts = sorted(set(hits))
+                if len(counts) > 1:
+                    parts = [tuple(v for v, c in zip(cell, hits) if c == want)
+                             for want in counts]
+                    big = max(range(len(parts)), key=lambda j: len(parts[j]))
+                    out += parts
+                    out_stale += [st or j != big for j in range(len(parts))]
+                    continue
+            out.append(cell)
+            out_stale.append(st)
         cells, stale = out, out_stale
     return cells
 
@@ -78,20 +95,17 @@ def _target(cells: list) -> int | None:
     return min(sizes)[1] if sizes else None
 
 
-def _orbits(n: int, gens) -> list[int]:
-    """The least vertex of each vertex's orbit under gens."""
-    root = list(range(n))
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for h in gens:
-        for v in range(n):
-            a, b = find(v), find(h[v])
-            root[max(a, b)] = min(a, b)
-    return [find(v) for v in range(n)]
+def _close(mask: int, todo: list, gens) -> int:
+    """mask, a vertex set holding every vertex of todo, with the orbits of
+    those vertices under gens added."""
+    while todo:
+        v = todo.pop()
+        for h in gens:
+            u = h[v]
+            if not mask >> u & 1:
+                mask |= 1 << u
+                todo.append(u)
+    return mask
 
 
 def generators(g, pool) -> list[tuple[int, ...]]:
@@ -100,17 +114,20 @@ def generators(g, pool) -> list[tuple[int, ...]]:
     n, gens = g.n, []
 
     def fresh(cell, fixed, tried):
-        # the vertices of cell in no orbit of tried under the generators
-        # that fix every vertex of fixed; each is added to tried in turn.
-        # The orbits change only when the caller's search between two
-        # yields adds a generator.
-        known = -1
+        # the vertices of cell outside tried, a vertex mask closed under
+        # the generators that fix every vertex of fixed; each one's orbit
+        # joins tried as it is yielded.  The generators change only when
+        # the caller's search between two yields adds one.
+        known, stab = 0, []
         for w in cell:
             if known != len(gens):
+                joined = [h for h in gens[known:] if all(h[v] == v for v in fixed)]
                 known = len(gens)
-                orbit = _orbits(n, [h for h in gens if all(h[v] == v for v in fixed)])
-            if all(orbit[w] != orbit[x] for x in tried):
-                tried.append(w)
+                if joined:
+                    stab += joined
+                    tried = _close(tried, [v for v in range(n) if tried >> v & 1], stab)
+            if not tried >> w & 1:
+                tried = _close(tried | 1 << w, [w], stab)
                 yield w
 
     def leads_to_leaf(cells, depth, fixed):
@@ -130,7 +147,7 @@ def generators(g, pool) -> list[tuple[int, ...]]:
             gens.append(tuple(h))
             return True
         return any(leads_to_leaf(_child(g, cells, i, w, pool), depth + 1, fixed + (w,))
-                   for w in fresh(cells[i], fixed, []))
+                   for w in fresh(cells[i], fixed, 0))
 
     try:
         path, chosen = [_refine(g, [tuple(range(n))], [True], pool)], []
@@ -142,7 +159,7 @@ def generators(g, pool) -> list[tuple[int, ...]]:
         for depth in reversed(range(len(chosen))):
             cells, fixed = path[depth], tuple(chosen[:depth])
             i = _target(cells)
-            for w in fresh(cells[i], fixed, [chosen[depth]]):
+            for w in fresh(cells[i], fixed, 1 << chosen[depth]):
                 leads_to_leaf(_child(g, cells, i, w, pool), depth + 1, fixed + (w,))
     except _Spent:
         pass
@@ -159,17 +176,19 @@ def representatives(g, k: int, pool):
     a scan that stops there pays nothing for it; with k = n there is no
     other set and no search."""
     gens, seen = None, set()
-    for s in combinations(range(g.n), k):
-        if s in seen:
+    bits = [1 << v for v in range(g.n)]
+    for s, mask in zip(combinations(range(g.n), k), map(sum, combinations(bits, k))):
+        if mask in seen:
             continue
         yield s
         if gens is None:
             gens = generators(g, pool) if k < g.n else []
+            images = [(h, [bits[u] for u in h]) for h in gens]
         stack = [s]
         while stack:
             t = stack.pop()
-            for h in gens:
-                u = tuple(sorted(h[v] for v in t))
+            for h, image in images:
+                u = sum(map(image.__getitem__, t))
                 if u not in seen:
                     seen.add(u)
-                    stack.append(u)
+                    stack.append(tuple(map(h.__getitem__, t)))

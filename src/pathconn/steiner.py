@@ -218,13 +218,13 @@ def local_upper_bound(g: Graph, s: tuple[int, ...], variant: str) -> int:
     absence, always wastes one endpoint slot); and the slot, edge and vertex
     terms of _capacity_bound over the total terminal degree.
     """
-    k = len(s)
-    degs = [g.degree(v) for v in s]
+    k, adj, masks = len(s), g.adj, g.masks
+    degs = [len(adj[v]) for v in s]
     bound = min(degs)
     if k >= 3:
-        for u, v in combinations(s, 2):
-            if g.has_edge(u, v) and g.degree(u) == g.degree(v):
-                bound = min(bound, g.degree(u) - 1)
+        for (u, du), (v, dv) in combinations(zip(s, degs), 2):
+            if du == dv and masks[u] >> v & 1:
+                bound = min(bound, du - 1)
     return max(min(bound, _capacity_bound(g, k, variant, sum(degs))), 0)
 
 

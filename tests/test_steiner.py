@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import oracle
 from oracle import (
     all_terminal_paths, all_terminal_trees, naive_global_value,
     naive_local_value,
@@ -21,6 +22,7 @@ from pathconn.steiner import (
 )
 from pathconn.transforms import line_graph
 from pathconn.witness import family_violations
+from test_solver_golden import _graphs as golden_graphs
 
 
 def _oracle_graphs(seed, count, n_min=4, n_max=6, m_max=9):
@@ -247,6 +249,16 @@ def test_local_upper_bound_is_sound():
             for s in combinations(range(g.n), k):
                 for variant in VARIANTS:
                     assert naive_local_value(g, s, variant) <= local_upper_bound(
+                        g, s, variant), (g.edges, s, variant)
+
+
+def test_local_upper_bound_matches_the_original_formula():
+    # the adjacency test reads neighbour masks instead of the edge index
+    for _, g in golden_graphs():
+        for k in (2, 3, 4):
+            for s in combinations(range(g.n), k):
+                for variant in VARIANTS:
+                    assert local_upper_bound(g, s, variant) == oracle.local_upper_bound(
                         g, s, variant), (g.edges, s, variant)
 
 

@@ -4,7 +4,9 @@ A global scan takes one terminal set per orbit of the automorphisms that
 pathconn._symmetry finds.  These tests check every generator against the
 edge set, count orbits against a search over all permutations, and compare
 the reduced scans with scans of every k-set (the search patched to find
-nothing).
+nothing).  The search itself must find the same generators, spend the
+same units and yield the same representatives as the original module,
+copied unchanged into tests/oracle.py.
 """
 
 import random
@@ -12,13 +14,15 @@ from itertools import combinations
 
 import pytest
 
+import oracle
 from oracle import naive_orbit_count
 from pathconn import _symmetry
 from pathconn.graphs import Graph, complete, complete_bipartite, cycle
+from pathconn.random_graphs import RandomGraphSpec, sample_graphs
 from pathconn.steiner import (
     LOWER_BOUND, VARIANTS, WorkBudget, global_at_least, global_connectivity,
 )
-from pathconn.transforms import cartesian_product
+from pathconn.transforms import cartesian_product, line_graph
 from test_solver_golden import _graphs as golden_graphs
 from test_steiner import _oracle_graphs
 
@@ -140,3 +144,56 @@ def test_reduced_threshold_scans_on_a_relabelled_product(monkeypatch, variant):
     assert reduced == ["yes", "no"]
     monkeypatch.setattr(_symmetry, "generators", lambda g, pool: [])
     assert [global_at_least(g, 2, t, variant) for t in (6, 7)] == reduced
+
+
+def _reference_graphs() -> list[Graph]:
+    # K3,3 beside the prism: one refined cell holds two orbits, so a search
+    # from a vertex of the other orbit fails and must not be repeated for
+    # the vertices its stabiliser orbit already covers
+    prism = ((6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11), (6, 9), (7, 10), (8, 11))
+    two_cubic = Graph(12, complete_bipartite(3, 3).edges + prism)
+    named = ([g for _, g in golden_graphs()] + _oracle_graphs(seed=19, count=25)
+             + [_product(4, 4), _product(4, 6), line_graph(complete(4)).graph,
+                line_graph(complete(5)).graph, complete_bipartite(6, 6), two_cubic])
+    spec = RandomGraphSpec(n_min=1, n_max=9, m_min=0, m_max=36, requirement="connected")
+    return ([h for i, g in enumerate(named) for h in (g, _relabel(g, i))]
+            + sample_graphs(spec, seed=19, count=200))
+
+
+def _pool(left: int | None) -> WorkBudget:
+    pool = WorkBudget()
+    if left is not None:
+        pool.left = left
+    return pool
+
+
+def _search(module, g: Graph, left: int | None = None):
+    pool = _pool(left)
+    return module.generators(g, pool), pool.spent, pool.left
+
+
+def _reps(module, g: Graph, k: int, left: int | None = None):
+    pool = _pool(left)
+    return list(module.representatives(g, k, pool)), pool.spent
+
+
+def test_the_search_matches_the_original_module():
+    # the bitmask search finds the same generators, charges the same units
+    # and stops at the same point of every budget cut as the original
+    for g in _reference_graphs():
+        full = _search(oracle, g)
+        assert _search(_symmetry, g) == full, g.edges
+        spent = full[1]
+        for left in {0, 1, 2, 3, spent // 4, spent // 2, spent - 1, spent}:
+            assert _search(_symmetry, g, left) == _search(oracle, g, left), (g.edges, left)
+
+
+def test_representatives_match_the_original_module():
+    # every k, with an unlimited pool and with half the search's units; on
+    # K4xK6 (24 vertices, 2^24 sets) only the sizes at both ends
+    for g in _reference_graphs():
+        half = _search(oracle, g)[1] // 2
+        sizes = range(1, g.n + 1) if g.n <= 16 else (*range(1, 5), *range(g.n - 2, g.n + 1))
+        for k in sizes:
+            for left in (None, half):
+                assert _reps(_symmetry, g, k, left) == _reps(oracle, g, k, left), (g.edges, k, left)

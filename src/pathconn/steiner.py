@@ -14,20 +14,19 @@ The global value is the minimum of the local values over all k-subsets,
 with the usual conventions: k = 1 gives the minimum degree, a disconnected
 graph gives 0, and a connected graph with fewer than k vertices gives 1.
 
-A question of one (does s carry one member?) is answered by _first,
-which lists a single candidate: the threshold questions with goal 1 and
-the exact solves capped at 1 ask it, and nothing else runs for them.
-Threshold questions (pack_at_least, global_at_least) of 2 or more are
-staged by one routine, _at_least, in the same order for both callers.
-Once a short candidate list turns out to be cut by its cap, the terminal
-set picks one cheap attempt: a seeded residual two-path search
-(_residual_paths) at a triple of a path variant, a pack of the cut list
-anywhere else.  Either may answer yes; only a complete enumeration and
-pack answers no.  Exact solves (local_connectivity and every set of
-global_connectivity's scan) capped at 2 or more are staged by
-_local_solve: at such a triple it runs the search first, for as many
-paths as its cap allows, and a hit meets the cap with no listing; a miss
-falls through to listing and packing DEFAULT_CAP candidates.
+Every terminal set is solved by _solve, which looks for a cap of
+members: a cap of 1 lists one candidate (a question of one); at a triple
+of a path variant a seeded residual two-path search (_residual_paths)
+looks for cap members; otherwise DEFAULT_CAP candidates are listed and
+packed.  Exact solves (local_connectivity and every set of
+global_connectivity's scan, via _local_solve) call it with their cap.
+Threshold questions (pack_at_least, global_at_least, via _at_least) of 2
+or more first list a short candidate list, which settles them when it is
+complete and, off a triple, may answer yes when packed; then they call
+it with their goal.  The search may answer yes; only a complete listing
+and pack answers no.  The steps that charge units (_candidates, _pack,
+_residual_paths) do nothing on a spent pool, so no call is charged past
+its budget.
 
 The global scans (global_connectivity, global_at_least) visit one terminal
 set per orbit of the automorphisms that _symmetry finds: the
@@ -284,7 +283,12 @@ def enumerate_minimal_strees(g: Graph, s, *, budget_ms: int | None = None):
 
 
 def _candidates(g: Graph, s, variant, pool: WorkBudget, cap: int):
-    """At most cap candidates for s, charged to pool: (cands, complete)."""
+    """At most cap candidates for s, charged to pool: (cands, complete).
+
+    A spent pool lists nothing and is charged nothing: ([], False).
+    """
+    if pool.exhausted:
+        return [], False
     smask = _smask(s)
     if _TREE[variant]:
         cands, complete, units = _enumerate_trees(g.n, g.masks, g.edges, smask, cap, pool.left)
@@ -302,29 +306,20 @@ def _pack(g: Graph, eid, s, variant, pool: WorkBudget, cands, enum_complete: boo
     reach target.  Returns (family, proven): proven means that the listing
     was complete and the pack ran to the end without reaching target
     first, so family is a largest family (exact mode) or no family reaches
-    target (decision mode).
+    target (decision mode).  A spent pool packs nothing and is charged
+    nothing: ((), False).
     """
+    if pool.exhausted:
+        return (), False
     if not cands:
         return (), enum_complete
     k = len(s)
     _, sel, pack_complete, units = impl.solve_pack(
         g.n, g.m, eid, cands, _TREE[variant], _smask(s), _INTERNAL[variant],
         _slots_per(k, variant), k // 2, [g.degree(v) for v in s],
-        target, decide, max(pool.left, 0))
+        target, decide, pool.left)
     pool.charge(units)
     return tuple(cands[i] for i in sel), pack_complete and enum_complete
-
-
-def _first(g: Graph, s, variant, pool: WorkBudget):
-    """Answer whether s carries one member by listing one candidate.
-
-    Returns (family, proven) as _pack does at target 1: the candidate
-    listed is the member, the one a pack of any list would take first; an
-    empty list proves that there is none only when it is complete, not
-    when the pool cut it.
-    """
-    cands, complete = _candidates(g, s, variant, pool, 1)
-    return tuple(cands), complete
 
 
 _SHORT_CAP = 256  # candidates a threshold question lists before looking further
@@ -339,36 +334,55 @@ def _residual_stage(s, variant) -> bool:
 def _at_least(g: Graph, eid, s, variant, goal: int, pool: WorkBudget):
     """Stage the question whether s carries goal >= 1 disjoint members.
 
-    0. When local_upper_bound(g, s, variant) is below goal, the answer is
-       a proven no with no work.  A goal of 1 is answered by _first, and
-       the steps below serve goals of 2 or more.
-    1. List the first _SHORT_CAP candidates.  When that list is complete
-       or the pool is spent, packing it settles the question.
-    2. Make one cheap attempt, chosen by s: _residual_paths at a triple of
-       a path variant (see _residual_stage), a pack of the cut list toward
-       goal at any other set.
-    3. On a miss, list and pack DEFAULT_CAP candidates with what the pool
-       has left.
+    When local_upper_bound(g, s, variant) is below goal, the answer is a
+    proven no with no work.  At a goal of 2 or more, the first _SHORT_CAP
+    candidates are listed: a complete list is packed and settles the
+    question, and off a triple of a path variant a cut list is packed
+    toward goal, which may answer yes.  Everything else is _solve's, with
+    goal as its cap.
 
     Returns (family, proven) as _pack does: family has goal members or is
     the largest found, and proven means that no family reaches goal.
     """
     if local_upper_bound(g, s, variant) < goal:
         return (), True
-    if goal == 1:
-        return _first(g, s, variant, pool)
-    cands, complete = _candidates(g, s, variant, pool, _SHORT_CAP)
-    if complete or pool.exhausted:
-        return _pack(g, eid, s, variant, pool, cands, complete, goal, True)
-    if _residual_stage(s, variant):
-        found = _residual_paths(g, s, goal, variant, pool)
-    else:
-        found, _ = _pack(g, eid, s, variant, pool, cands, False, goal, True)
-    if len(found) >= goal or pool.exhausted:
-        return found, False
-    cands, complete = _candidates(g, s, variant, pool, DEFAULT_CAP)
-    family, proven = _pack(g, eid, s, variant, pool, cands, complete, goal, True)
+    found = ()
+    if goal >= 2:
+        cands, complete = _candidates(g, s, variant, pool, _SHORT_CAP)
+        if complete or not _residual_stage(s, variant):
+            found, proven = _pack(g, eid, s, variant, pool, cands, complete, goal, True)
+            if complete or len(found) >= goal:
+                return found, proven
+    family, proven = _solve(g, eid, s, variant, pool, goal, True)
     return max(found, family, key=len), proven
+
+
+def _solve(g: Graph, eid, s, variant, pool: WorkBudget, cap: int, decide: bool):
+    """Look for cap disjoint members at s: the steps every solve shares.
+
+    1. A cap of 0 is met with no work.
+    2. A cap of 1 is a question of one: one candidate is listed, and it is
+       the member, the one a pack of any list would take first.  An empty
+       list proves that there is none only when the pool did not cut it.
+    3. At a triple of a path variant (see _residual_stage), _residual_paths
+       looks for cap members, and a hit meets the cap.
+    4. Otherwise DEFAULT_CAP candidates are listed and packed toward cap,
+       in decision mode when decide is set.
+
+    Returns (family, proven) as _pack does.  A step that finds the pool
+    spent does nothing and is charged nothing.
+    """
+    if cap == 0:
+        return (), True
+    if cap == 1:
+        cands, complete = _candidates(g, s, variant, pool, 1)
+        return tuple(cands), complete
+    if _residual_stage(s, variant):
+        family = _residual_paths(g, s, cap, variant, pool)
+        if family:
+            return family, False
+    cands, complete = _candidates(g, s, variant, pool, DEFAULT_CAP)
+    return _pack(g, eid, s, variant, pool, cands, complete, cap, decide)
 
 
 def _residual_paths(g: Graph, s, goal: int, variant: str, pool: WorkBudget):
@@ -534,42 +548,25 @@ def _two_paths(g: Graph, weight, mid, ends, blocked_v, blocked_e, beat, scanned,
 
 def _local_solve(g: Graph, eid, s, variant, pool: WorkBudget,
                  ub: int) -> PackingCertificate:
-    """Exact-intent local solve; degrades to lower-bound on budget expiry.
+    """Exact-intent local solve (_solve capped at ub); degrades to
+    lower-bound on budget expiry.
 
     ub caps the search: no member past the ub-th is looked for.  It is
     either a proven upper bound on the local value at s (at most
     local_upper_bound(g, s, variant)), or, in a global scan, the least
     value proven so far, which only a smaller value at s can improve on.
     A cap of 0 is always a proven bound, as a scan stops at its first
-    zero, so it settles s as zero without listing, and a cap of 1 is
-    settled by _first, which lists one candidate.
-    At a cap of 2 or more, at a triple of a path variant (see
-    _residual_stage) the residual search looks for ub members first; a hit
-    reaches the cap, so it is exact.  A miss, or a search that spent the
-    pool, proves nothing and falls through to listing DEFAULT_CAP
-    candidates and packing them.
+    zero, so it settles s as zero.
 
     A family of ub members has status exact.  Under a proven bound that is
     the local value; under a scan's least value it only means "not below
     ub", and the scan keeps no such certificate.
     """
-    if pool.exhausted:
-        return PackingCertificate(variant, s, (), LOWER_BOUND)
-    if ub == 0:
-        return PackingCertificate(variant, s, (), ZERO)
-    if ub == 1:
-        family, proven = _first(g, s, variant, pool)
+    family, proven = _solve(g, eid, s, variant, pool, ub, False)
+    if proven or len(family) >= ub:
+        status = EXACT if family else ZERO
     else:
-        if _residual_stage(s, variant):
-            family = _residual_paths(g, s, ub, variant, pool)
-            if family:
-                return PackingCertificate(variant, s, family, EXACT)
-        cands, complete = _candidates(g, s, variant, pool, DEFAULT_CAP)
-        family, proven = _pack(g, eid, s, variant, pool, cands, complete, ub, False)
-    if not family:
-        status = ZERO if proven else LOWER_BOUND
-    else:
-        status = EXACT if proven or len(family) >= ub else LOWER_BOUND
+        status = LOWER_BOUND
     return PackingCertificate(variant, s, family, status)
 
 

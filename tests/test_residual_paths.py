@@ -1,13 +1,13 @@
 """The residual two-path search of pathconn.steiner (_residual_paths).
 
-At a triple of a path variant, steiner._at_least runs this search for
-every threshold question (pack_at_least, global_at_least) once its short
-candidate list is cut by its cap; at any other set it packs that list
-instead.  An exact solve (local_connectivity, and every set of a
-global_connectivity scan) runs it before it lists anything, for as many
-paths as its cap allows: the proven bound, or in a scan after the first
-set the least value so far.  A hit there proves the value, or that the
-set cannot lower the scan's minimum.  These tests pin what the search
+At a triple of a path variant, steiner._solve runs this search for
+every cap of 2 or more, before it lists anything.  An exact solve
+(local_connectivity, and every set of a global_connectivity scan) calls
+_solve with its cap: the proven bound, or in a scan after the first set
+the least value so far, so a hit proves the value, or that the set
+cannot lower the scan's minimum.  A threshold question (pack_at_least,
+global_at_least) calls it with its goal, once its short candidate list
+is cut by its cap.  These tests pin what the search
 may and may not do: every family it returns is a valid disjoint family
 of the size asked for, two runs agree in every detail, it never spends
 more than its pool holds, and finding nothing never turns into a "no" or

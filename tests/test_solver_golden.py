@@ -12,13 +12,18 @@ conventions, budgets 0, 1, 2 and 100 and ones that stop a global scan
 part way, thresholds below, at and above local_upper_bound, and
 thresholds at and above the global value.  A threshold of 1 lists one
 candidate.  A few pack_at_least probes, at thresholds of 2 or more, list
-more than 256 candidates, so they reach the residual two-path search at
-a triple, and off triples a pack of the cut 256-list before the
-DEFAULT_CAP listing.
+more than 256 candidates, so off triples they pack the cut 256-list, and
+those it does not settle reach the steps every solve shares: the
+residual two-path search at a triple, the DEFAULT_CAP listing and its
+pack.
 
 Regenerate the records, only for a change meant to alter results, with
 
     PYTHONPATH=src python tests/test_solver_golden.py
+
+which prints every record it adds, drops or changes (entry point,
+arguments, old -> new; None for a record that is absent) before it
+writes the file.
 """
 
 from __future__ import annotations
@@ -221,8 +226,24 @@ def test_cases_cover_the_budgeted_scan(golden):
                for rec in golden["global_connectivity"].values())
 
 
+def _moved(old: dict[str, dict[str, list]], new: dict[str, dict[str, list]]) -> list[str]:
+    """One line per record that new adds, drops or changes against old."""
+    lines = []
+    for entry in ENTRY_POINTS:
+        was, now = old.get(entry, {}), new.get(entry, {})
+        for args in list(was) + [a for a in now if a not in was]:
+            if was.get(args) != now.get(args):
+                lines.append(f"{entry}({args}): {was.get(args)} -> {now.get(args)}")
+    return lines
+
+
 if __name__ == "__main__":
     records = _run_all()
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    moved = _moved(old, records)
+    for line in moved:
+        print(line)
+    print(f"{len(moved)} records moved")
     blocks = []
     for entry, calls in records.items():
         lines = [f"  {json.dumps(args)}:{json.dumps(rec, separators=(',', ':'))}"

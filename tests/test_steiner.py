@@ -22,7 +22,7 @@ from pathconn.steiner import (
 )
 from pathconn.transforms import line_graph
 from pathconn.witness import family_violations
-from test_solver_golden import _graphs as golden_graphs
+from test_solver_golden import _cases as golden_cases, _graphs as golden_graphs
 
 
 def _oracle_graphs(seed, count, n_min=4, n_max=6, m_max=9):
@@ -314,6 +314,43 @@ def test_budget_zero_degrades_to_lower_bound():
     assert cert.status == LOWER_BOUND
     dec = pack_at_least(g, (0, 1, 2), 3, PI, budget_ms=0)
     assert dec.answer == "unknown"
+
+
+def test_no_call_is_charged_past_its_budget(monkeypatch):
+    # every pool a budgeted golden case makes, whatever its entry point,
+    # spends at most its budget: a step that finds the pool spent does
+    # nothing and is charged nothing
+    pools = []
+
+    class Pool(WorkBudget):
+        def __init__(self, budget_ms=None):
+            super().__init__(budget_ms)
+            if budget_ms is not None:
+                pools.append((budget_ms, self))
+
+    monkeypatch.setattr(steiner, "WorkBudget", Pool)
+    budgeted = 0
+    for entry, args, run in golden_cases():
+        if "budget_ms=" not in args:
+            continue
+        pools.clear()
+        rec = run()
+        budgeted += 1
+        for budget_ms, pool in pools:
+            assert pool.spent <= budget_ms * steiner.UNITS_PER_MS, (entry, args)
+        if entry in ("global_connectivity", "pack_at_least") and rec[0] != "error":
+            units = rec[2] if entry == "global_connectivity" else rec[1]
+            assert units == sum(pool.spent for _, pool in pools), (entry, args)
+    assert budgeted > 1000
+    # the budget-cut global scans of certify-budgeted spend exactly theirs
+    for g, k in ((complete_bipartite(5, 5), 3), (complete_bipartite(6, 6), 3),
+                 (line_graph(complete(5)).graph, 4)):
+        res = global_connectivity(g, k, PI, budget_ms=100)
+        assert (res.status, res.units) == (LOWER_BOUND, 100 * steiner.UNITS_PER_MS)
+    # a bound of 0 is a proven zero whatever the budget, for exact solves
+    # and threshold questions alike
+    assert local_connectivity(star(4), (1, 2, 3), PI, budget_ms=0).status == ZERO
+    assert pack_at_least(star(4), (1, 2, 3), 1, PI, budget_ms=0).answer == "no"
 
 
 def test_budgeted_results_are_bounded_by_truth():
